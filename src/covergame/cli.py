@@ -6,7 +6,8 @@ integer when q = 1) and all iteration upstream is deterministic, so
 identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
-exceeded, 3 verification failed (verify only, with the witness printed).
+exceeded, 3 verification failed (verify only, with the witness printed),
+4 internal error (a computed result failed its own certificate).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .covers import (
+    EXACT_CANDIDATE_CAP,
     CoverCertificate,
     canonicalize_to_odd_cycles,
     fractional_support_cycles,
@@ -33,9 +35,12 @@ from .game import (
     integrality_gap,
     parse_allocation,
 )
-from .graphs import GraphFormatError, load_graph
-from .oracle import OracleBudget, brute_core_check
+from .graphs import load_graph
+from .oracle import DEFAULT_BUDGET, OracleBudget, brute_core_check
 from .rationals import format_rational
+
+
+_CAP_HELP = "candidate-edge cap for the exact solver"
 
 
 class _UsageError(Exception):
@@ -210,7 +215,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cover", parents=[common], help="integral minimum-weight edge cover")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=24, help="candidate-edge cap for the exact solver")
+    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("frac-cover", parents=[common], help="optimal half-integral edge cover")
@@ -228,13 +233,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("allocate", parents=[common], help="stable allocation from the dual optimum")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=24, help="candidate-edge cap for the exact solver")
+    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_allocate)
 
     p = sub.add_parser("cost", parents=[common], help="exact cost of one coalition")
     p.add_argument("graph")
     p.add_argument("--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5")
-    p.add_argument("--cap", type=int, default=24, help="candidate-edge cap for the exact solver")
+    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cost)
 
     p = sub.add_parser("verify", parents=[common], help="check an allocation for the core property")
@@ -243,9 +248,13 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--exhaustive", action="store_true", help="also run the all-coalitions brute-force oracle"
     )
-    p.add_argument("--oracle-vertices", type=int, default=12, help="oracle coalition budget")
-    p.add_argument("--oracle-edges", type=int, default=20, help="oracle cover-enumeration budget")
-    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--oracle-vertices", type=int, help="oracle coalition budget")
+    p.add_argument("--oracle-edges", type=int, help="oracle cover-enumeration budget")
+    p.set_defaults(
+        handler=_cmd_verify,
+        oracle_vertices=DEFAULT_BUDGET.max_coalition_vertices,
+        oracle_edges=DEFAULT_BUDGET.max_cover_edges,
+    )
     return parser
 
 
@@ -258,18 +267,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     try:
         code, payload, lines = args.handler(args)
-    except GraphFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except RuntimeError as exc:  # a certificate check failed: a bug, not bad input
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 4
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:

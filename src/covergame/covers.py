@@ -10,17 +10,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapExceededError
-from .graphs import (
-    DoubledGraph,
-    Edge,
-    WeightedGraph,
-    boundary,
-    coalition,
-    double_graph,
-    edge_key,
-    edges_within,
-    is_bipartite,
-)
+from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key, is_bipartite
 from .lp import dual_packing_lp, fractional_cover_lp, solve
 from .rationals import format_rational
 
@@ -73,11 +63,28 @@ def is_half_integral(values: EdgeVector) -> bool:
     return all(x in (ZERO, HALF, ONE) for x in values.values())
 
 
+def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
+    """The vector in Fractions. Raises ValueError unless it gives every edge
+    a value in {0, 1/2, 1} and covers every vertex."""
+    x: EdgeVector = {e: Fraction(v) for e, v in values.items()}
+    if set(x) != set(g.edges):
+        raise ValueError("vector must assign a value to every edge of the graph")
+    if not is_half_integral(x):
+        raise ValueError("vector is not half-integral")
+    if not is_feasible_cover(g, x):
+        raise ValueError("vector is not a feasible cover")
+    return x
+
+
+# Default candidate-edge cap of the exact solver, shared by every caller.
+EXACT_CANDIDATE_CAP = 24
+
+
 def min_edge_cover_exact(
     g: WeightedGraph,
     members: Iterable[int] | None = None,
     *,
-    max_candidate_edges: int = 24,
+    max_candidate_edges: int = EXACT_CANDIDATE_CAP,
 ) -> CoverCertificate:
     """Exact minimum-weight cover of a coalition by branch and bound.
 
@@ -89,7 +96,7 @@ def min_edge_cover_exact(
     so the result is deterministic.
     """
     s = coalition(g, g.vertices() if members is None else members)
-    candidates = sorted(set(edges_within(g, s)) | set(boundary(g, s)))
+    candidates = [e for e in g.edges if e[0] in s or e[1] in s]
     if len(candidates) > max_candidate_edges:
         raise CapExceededError(
             f"{len(candidates)} candidate edges exceed the exact-solver cap of {max_candidate_edges}"
@@ -128,19 +135,13 @@ def min_edge_cover_exact(
     return CoverCertificate("integral", values, best_weight)
 
 
-def bipartite_min_edge_cover(
-    g: WeightedGraph, *, include_dual_witness: bool = True
-) -> CoverCertificate:
-    """Minimum-weight edge cover of a bipartite graph via the covering LP.
+def _integral_lp_cover(g: WeightedGraph) -> tuple[EdgeVector, Fraction]:
+    """Basic optimum of the covering LP of a graph known to be bipartite.
 
     The incidence matrix of a bipartite graph is totally unimodular, so the
-    basic optimal solution of the LP is a 0/1 vector; that is asserted
-    rather than trusted. The optional witness is an optimal dual packing
-    vector whose total equals the cover weight.
+    basic optimal solution is a 0/1 vector; that is asserted rather than
+    trusted.
     """
-    report = is_bipartite(g)
-    if not report.bipartite:
-        raise ValueError("LP-based integral covers require a bipartite graph")
     primal = solve(fractional_cover_lp(g))
     if primal.status != "optimal":
         raise RuntimeError(f"covering LP ended with status {primal.status}")
@@ -150,13 +151,27 @@ def bipartite_min_edge_cover(
         if x != 0 and x != 1:
             raise RuntimeError(f"basic optimum is not 0/1 on a bipartite graph (edge {e}: {x})")
         values[e] = x
-    witness = None
-    if include_dual_witness:
-        dual = solve(dual_packing_lp(g))
-        if dual.objective_value != primal.objective_value:
-            raise RuntimeError("primal and dual optima disagree")
-        witness = dual.values
-    return CoverCertificate("integral", values, primal.objective_value, witness)
+    return values, primal.objective_value
+
+
+def _packing_witness(g: WeightedGraph, weight: Fraction) -> tuple[Fraction, ...]:
+    """Optimal dual packing vector, whose total must equal the cover weight."""
+    dual = solve(dual_packing_lp(g))
+    if dual.objective_value != weight:
+        raise RuntimeError("primal and dual optima disagree")
+    return dual.values
+
+
+def bipartite_min_edge_cover(
+    g: WeightedGraph, *, include_dual_witness: bool = True
+) -> CoverCertificate:
+    """Minimum-weight edge cover of a bipartite graph via the covering LP,
+    with an optional optimal dual packing vector of equal total."""
+    if not is_bipartite(g).bipartite:
+        raise ValueError("LP-based integral covers require a bipartite graph")
+    values, weight = _integral_lp_cover(g)
+    witness = _packing_witness(g, weight) if include_dual_witness else None
+    return CoverCertificate("integral", values, weight, witness)
 
 
 def half_integral_cover(
@@ -172,28 +187,21 @@ def half_integral_cover(
     leave spurious 1/2 entries. The weight always equals the optimum of
     the fractional covering LP, certified by an equal-total dual witness.
     """
-    report = is_bipartite(g)
-    if report.bipartite:
-        base = bipartite_min_edge_cover(g, include_dual_witness=include_dual_witness)
-        return CoverCertificate("half-integral", base.values, base.weight, base.dual_witness)
-
-    doubled: DoubledGraph = double_graph(g)
-    cover = bipartite_min_edge_cover(doubled.graph, include_dual_witness=False)
-    values: EdgeVector = {}
-    for e in g.edges:
-        e1, e2 = doubled.doubled_pair(e)
-        values[e] = (cover.values[e1] + cover.values[e2]) / 2
-    weight = cover_weight(g, values)
-    if 2 * weight != cover.weight:
-        raise RuntimeError("averaged cover weight disagrees with the doubled cover")
-    if not is_feasible_cover(g, values):
-        raise RuntimeError("averaged cover is not feasible")
-    witness = None
-    if include_dual_witness:
-        dual = solve(dual_packing_lp(g))
-        if dual.objective_value != weight:
-            raise RuntimeError("half-integral weight does not match the packing optimum")
-        witness = dual.values
+    if is_bipartite(g).bipartite:
+        values, weight = _integral_lp_cover(g)
+    else:
+        doubled = double_graph(g)
+        doubled_values, doubled_weight = _integral_lp_cover(doubled.graph)
+        values = {}
+        for e in g.edges:
+            e1, e2 = doubled.doubled_pair(e)
+            values[e] = (doubled_values[e1] + doubled_values[e2]) / 2
+        weight = cover_weight(g, values)
+        if 2 * weight != doubled_weight:
+            raise RuntimeError("averaged cover weight disagrees with the doubled cover")
+        if not is_feasible_cover(g, values):
+            raise RuntimeError("averaged cover is not feasible")
+    witness = _packing_witness(g, weight) if include_dual_witness else None
     return CoverCertificate("half-integral", values, weight, witness)
 
 
@@ -351,13 +359,7 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
     optimal). Every pass makes at least one more coordinate integral,
     which bounds the number of passes by the edge count.
     """
-    x: EdgeVector = {e: Fraction(v) for e, v in values.items()}
-    if set(x) != set(g.edges):
-        raise ValueError("vector must assign a value to every edge of the graph")
-    if not is_half_integral(x):
-        raise ValueError("vector is not half-integral")
-    if not is_feasible_cover(g, x):
-        raise ValueError("vector is not a feasible cover")
+    x = _validated_half_integral_cover(g, values)
     optimum = solve(fractional_cover_lp(g)).objective_value
     if cover_weight(g, x) != optimum:
         raise ValueError("vector is not an optimal fractional cover")

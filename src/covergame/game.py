@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .covers import EdgeVector, is_feasible_cover, is_half_integral, min_edge_cover_exact
+from .covers import (
+    EXACT_CANDIDATE_CAP,
+    EdgeVector,
+    _validated_half_integral_cover,
+    min_edge_cover_exact,
+)
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
 from .lp import dual_packing_lp, fractional_cover_lp, solve
@@ -75,7 +80,7 @@ def coalition_cost(
     g: WeightedGraph,
     members: Iterable[int],
     *,
-    max_candidate_edges: int = 24,
+    max_candidate_edges: int = EXACT_CANDIDATE_CAP,
 ) -> Fraction:
     """c(S): the minimum weight of an edge set covering the coalition."""
     return min_edge_cover_exact(g, members, max_candidate_edges=max_candidate_edges).weight
@@ -130,7 +135,7 @@ class AllocationReport:
 
 
 def allocate_alpha_core(
-    g: WeightedGraph, *, max_candidate_edges: int = 24
+    g: WeightedGraph, *, max_candidate_edges: int = EXACT_CANDIDATE_CAP
 ) -> AllocationReport:
     """Allocation from an optimal dual packing solution.
 
@@ -213,13 +218,7 @@ def verify_scaled_cover_membership(
     n = g.vertex_count
     if n > max_vertices:
         raise CapExceededError(f"{n} vertices exceed the odd-set enumeration cap of {max_vertices}")
-    x = {e: Fraction(v) for e, v in values.items()}
-    if set(x) != set(g.edges):
-        raise ValueError("vector must assign a value to every edge of the graph")
-    if not is_half_integral(x):
-        raise ValueError("vector is not half-integral")
-    if not is_feasible_cover(g, x):
-        raise ValueError("vector is not a feasible cover")
+    x = _validated_half_integral_cover(g, values)
     if scale is None:
         ell = shortest_odd_cycle(g).length
         scale = ONE if ell is None else ONE + Fraction(1, ell)
@@ -239,7 +238,7 @@ def verify_scaled_cover_membership(
 
 
 def exact_best_ratio(
-    g: WeightedGraph, *, max_candidate_edges: int = 24
+    g: WeightedGraph, *, max_candidate_edges: int = EXACT_CANDIDATE_CAP
 ) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
     covering alpha of the grand cost: fractional optimum over c(V)."""

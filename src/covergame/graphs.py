@@ -27,6 +27,7 @@ class GraphFormatError(ValueError):
 
     def __init__(self, kind: str, message: str, line_no: int | None = None):
         self.kind = kind
+        self.message = message
         self.line_no = line_no
         where = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"{kind}: {message}{where}")
@@ -41,7 +42,9 @@ class WeightedGraph:
     """Simple undirected graph on vertices 0..n-1 with rational edge weights.
 
     Enforced invariants: no loops, no parallel edges, every weight >= 0, and
-    minimum degree >= 1 (so an edge cover exists for every coalition).
+    minimum degree >= 1 (so an edge cover exists for every coalition). This
+    constructor is the only place these facts are checked; ``parse_graph``
+    feeds it and only adds line numbers.
     """
 
     __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
@@ -62,13 +65,16 @@ class WeightedGraph:
             if w < 0:
                 raise GraphFormatError("negative-weight", f"edge {e[0]}-{e[1]} has weight {w}")
             weight[e] = w
+        # Checked on the O(m) endpoint set before anything of size n exists:
+        # a header with n > 2m is rejected without allocating n slots.
+        touched = {v for e in weight for v in e}
+        if len(touched) < vertex_count:
+            v = next(v for v in range(vertex_count) if v not in touched)
+            raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
         adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
         for u, v in weight:
             adjacency[u].append(v)
             adjacency[v].append(u)
-        for v, adj in enumerate(adjacency):
-            if not adj:
-                raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(sorted(weight))
         self._weight = weight
@@ -92,9 +98,6 @@ class WeightedGraph:
 
     def degree(self, v: int) -> int:
         return len(self._neighbors[v])
-
-    def incident_edges(self, v: int) -> tuple[Edge, ...]:
-        return tuple(edge_key(v, u) for u in self._neighbors[v])
 
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.vertex_count}, m={self.edge_count})"
@@ -136,41 +139,35 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
             "malformed", f"expected {m} edge lines, found {len(body)}", header_no
         )
 
-    weighted_edges: list[tuple[int, int, Fraction]] = []
-    seen: set[Edge] = set()
-    for line_no, line in body:
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphFormatError("malformed", "expected 'u v w'", line_no)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("malformed", "vertex ids must be integers", line_no) from None
-        if u == v:
-            raise GraphFormatError("loop", f"loop at vertex {u}", line_no)
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFormatError("vertex-range", f"edge ({u}, {v}) is out of range", line_no)
-        if u > v:
-            raise GraphFormatError("malformed", "edges must be written with u < v", line_no)
-        if (u, v) in seen:
-            raise GraphFormatError("duplicate-edge", f"edge {u}-{v} appears twice", line_no)
-        seen.add((u, v))
-        try:
-            w = parse_rational(parts[2])
-        except ValueError:
-            raise GraphFormatError("malformed", f"bad weight {parts[2]!r}", line_no) from None
-        if w < 0:
-            raise GraphFormatError("negative-weight", f"edge {u}-{v} has weight {w}", line_no)
-        weighted_edges.append((u, v, w))
+    # Only the text format is checked here. The constructor checks the graph
+    # and its errors get the number of the line being read.
+    line_no = header_no
 
-    degrees = [0] * n
-    for u, v, _ in weighted_edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    for v, d in enumerate(degrees):
-        if d == 0:
-            raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge", header_no)
-    return WeightedGraph(n, weighted_edges)
+    def weighted_edges() -> Iterable[tuple[int, int, Fraction]]:
+        nonlocal line_no
+        for line_no, line in body:
+            parts = line.split()
+            if len(parts) != 3:
+                raise GraphFormatError("malformed", "expected 'u v w'", line_no)
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError("malformed", "vertex ids must be integers", line_no) from None
+            if u > v:
+                raise GraphFormatError("malformed", "edges must be written with u < v", line_no)
+            try:
+                w = parse_rational(parts[2])
+            except ValueError:
+                raise GraphFormatError("malformed", f"bad weight {parts[2]!r}", line_no) from None
+            yield u, v, w
+        line_no = header_no  # the checks after the last edge are about the header
+
+    try:
+        return WeightedGraph(n, weighted_edges())
+    except GraphFormatError as exc:
+        if exc.line_no is not None:
+            raise
+        raise GraphFormatError(exc.kind, exc.message, line_no) from None
 
 
 def load_graph(path: str | Path) -> WeightedGraph:
@@ -350,9 +347,6 @@ class DoubledGraph:
     graph: WeightedGraph
     source_vertex_count: int
     edge_origin: dict[Edge, Edge]
-
-    def copies(self, v: int) -> tuple[int, int]:
-        return (v, v + self.source_vertex_count)
 
     def doubled_pair(self, e: Edge) -> tuple[Edge, Edge]:
         u, v = e

@@ -13,11 +13,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError
+from .game import _validated_allocation
 from .graphs import WeightedGraph, coalition
 
 ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -87,7 +86,9 @@ def brute_fractional_optimum(
     """Minimum fractional cover weight over the full {0, 1/2, 1}^m grid.
 
     Valid as an LP oracle because some optimal fractional cover is
-    half-integral.
+    half-integral. The grid is walked scaled by 2, as integers in {0, 1, 2},
+    so coverage is an integer test; only feasible points are weighed in
+    Fractions, and the best weight is halved at the end.
     """
     m = g.edge_count
     if m > budget.max_grid_edges:
@@ -97,13 +98,13 @@ def brute_fractional_optimum(
     ]
     weights = [g.weight(*e) for e in g.edges]
     best: Fraction | None = None
-    for point in itertools.product((ZERO, HALF, ONE), repeat=m):
-        if all(sum(point[j] for j in edges) >= 1 for edges in incident):
+    for point in itertools.product((0, 1, 2), repeat=m):
+        if all(sum(point[j] for j in edges) >= 2 for edges in incident):
             weight = sum(w * x for w, x in zip(weights, point) if x)
             if best is None or weight < best:
-                best = Fraction(weight)
+                best = weight
     assert best is not None  # the all-ones point is always feasible
-    return best
+    return Fraction(best) / 2
 
 
 def brute_core_check(
@@ -121,12 +122,7 @@ def brute_core_check(
         raise CapExceededError(
             f"{n} vertices exceed the coalition oracle budget of {budget.max_coalition_vertices}"
         )
-    values = tuple(Fraction(v) for v in allocation)
-    if len(values) != n:
-        raise ValueError(f"allocation must assign a value to every vertex (expected {n})")
-    for v, value in enumerate(values):
-        if value < 0:
-            raise ValueError(f"allocation for vertex {v} is negative")
+    values = _validated_allocation(g, allocation)
     for mask in range(1, 1 << n):
         members = [v for v in range(n) if mask >> v & 1]
         total = sum(values[v] for v in members)

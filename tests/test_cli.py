@@ -1,10 +1,12 @@
 """CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from covergame import game
 from covergame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -173,6 +175,20 @@ class TestErrorsAndDeterminism:
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
+
+    def test_internal_certificate_failure_exits_4(self, capsys, monkeypatch):
+        real_solve = game.solve
+
+        def skewed_solve(lp, *args, **kwargs):
+            solution = real_solve(lp, *args, **kwargs)
+            if lp.sense == "min":  # the covering LP: its total no longer matches the dual
+                return dataclasses.replace(solution, objective_value=solution.objective_value + 1)
+            return solution
+
+        monkeypatch.setattr(game, "solve", skewed_solve)
+        code, out, err = run(capsys, "allocate", DATA / "triangle.g")
+        assert code == 4 and out == ""
+        assert err == "error: internal: dual total does not match the fractional covering optimum\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_byte_identical_runs(self, capsys, fmt):

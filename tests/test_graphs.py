@@ -3,6 +3,7 @@ cycles, and the doubling construction."""
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -54,7 +55,7 @@ class TestParsing:
         assert g.edge_count == 3
 
     @pytest.mark.parametrize(
-        "text, kind",
+        "source, kind",
         [
             ("2 0\n", "isolated-vertex"),
             ("2 1\n0 0 1\n", "loop"),
@@ -69,13 +70,62 @@ class TestParsing:
             ("3 1\n0 5 1\n", "vertex-range"),
             ("x y\n", "bad-header"),
             ("", "bad-header"),
+            # The constructor is the only graph checker: the same violations
+            # raised without a parser, and so without a line number.
+            pytest.param((2, []), "isolated-vertex", id="constructor-isolated-vertex"),
+            pytest.param((2, [(0, 0, 1)]), "loop", id="constructor-loop"),
+            pytest.param(
+                (2, [(0, 1, 1), (0, 1, 2)]), "duplicate-edge", id="constructor-duplicate-edge"
+            ),
+            pytest.param((2, [(0, 1, -3)]), "negative-weight", id="constructor-negative-weight"),
+            pytest.param((3, [(0, 5, 1)]), "vertex-range", id="constructor-vertex-range"),
         ],
     )
-    def test_error_kinds(self, text, kind):
+    def test_error_kinds(self, source, kind):
+        with pytest.raises(GraphFormatError) as err:
+            if isinstance(source, str):
+                parse_graph(source)
+            else:
+                n, edges = source
+                WeightedGraph(n, [(u, v, Fraction(w)) for u, v, w in edges])
+        assert err.value.kind == kind
+        if isinstance(source, str):
+            assert err.value.line_no is not None or kind == "bad-header"
+        else:
+            assert err.value.line_no is None
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("4 1\n0 1 1\n", "isolated-vertex: vertex 2 has no incident edge (line 1)"),
+            ("3 2\n0 1 1\n# x\n\n0 1 5\n", "duplicate-edge: edge 0-1 appears twice (line 5)"),
+            ("3 2\n0 1 1\n1 2 -1/2\n", "negative-weight: edge 1-2 has weight -1/2 (line 3)"),
+            ("3 1\n0 5 1\n", "vertex-range: edge (0, 5) is out of range (line 2)"),
+            ("3 1\n-1 0 1\n", "vertex-range: edge (-1, 0) is out of range (line 2)"),
+            ("2 1\n1 0 1\n", "malformed: edges must be written with u < v (line 2)"),
+            ("2 1\n0 1 x\n", "malformed: bad weight 'x' (line 2)"),
+            ("2 1\n0 a 1\n", "malformed: vertex ids must be integers (line 2)"),
+            ("2 2\n0 1 1\n", "malformed: expected 2 edge lines, found 1 (line 1)"),
+            ("0 0\n", "bad-header: invalid sizes n=0, m=0 (line 1)"),
+        ],
+    )
+    def test_error_messages_and_lines(self, text, expected):
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
-        assert err.value.kind == kind
-        assert err.value.line_no is not None or kind == "bad-header"
+        assert str(err.value) == expected
+
+    def test_huge_header_rejected_before_allocating_n(self):
+        # Minimum degree one forces n <= 2m, so a 10^7-vertex header with one
+        # edge must fail in memory that grows with m, not with n.
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError) as err:
+                parse_graph("10000000 1\n0 1 1\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == "isolated-vertex: vertex 2 has no incident edge (line 1)"
+        assert peak < 1_000_000
 
     def test_error_line_numbers(self):
         with pytest.raises(GraphFormatError) as err:
