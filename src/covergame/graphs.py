@@ -300,26 +300,58 @@ def _parity_layers(g: WeightedGraph, start: int, start_parity: int) -> list[list
     return dist
 
 
+def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: int) -> int | None:
+    """Length of the shortest odd closed walk through s, if it is below bound.
+
+    BFS in g by levels. Every edge joins equal or adjacent levels, so an odd
+    closed walk through s uses an edge inside some level j and is at least
+    2j + 1 long; s -> x, x-y, y -> s gives 2k + 1 for the first level k that
+    holds an edge. The search stops once 2k + 1 reaches the bound.
+    """
+    dist = {s: 0}
+    level = [s]
+    k = 0
+    while level and 2 * k + 1 < bound:
+        deeper = []
+        for v in level:
+            for u in g.neighbors(v):
+                d = dist.get(u)
+                if d is None:
+                    dist[u] = k + 1
+                    deeper.append(u)
+                elif d == k:
+                    return 2 * k + 1
+        level = deeper
+        k += 1
+    return None
+
+
 def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     """Length of the shortest odd cycle with a deterministic witness.
 
-    One BFS on the parity double cover per start vertex, so the total work
-    grows as O(|V| |E|). A shortest odd closed walk is always a simple
-    cycle: any repeated vertex would split it into two closed walks, one of
-    them odd and strictly shorter. Ties are broken toward the lowest start
-    vertex and then the lexicographically smallest vertex sequence.
+    One O(|V| + |E|) two-coloring settles bipartite graphs; otherwise its
+    odd closed walk, of length L, bounds the answer. Then one truncated BFS
+    per start vertex (Itai and Rodeh 1978) finds the shortest odd closed
+    walk through it, searching only the ball of radius about (best - 1) / 2
+    where best is the shortest length found so far (L at first). The
+    witness comes from two BFS runs on the parity double cover of the chosen
+    start. A shortest odd closed walk is always a simple cycle: any repeated
+    vertex would split it into two closed walks, one of them odd and
+    strictly shorter. Ties are broken toward the lowest start vertex and
+    then the lexicographically smallest vertex sequence.
     """
-    best_len: int | None = None
-    best_start = -1
-    best_forward: list[list[int]] | None = None
-    for s in range(g.vertex_count):
-        forward = _parity_layers(g, s, 0)
-        d = forward[s][1]
-        if d != -1 and (best_len is None or d < best_len):
-            best_len, best_start, best_forward = d, s, forward
-    if best_len is None or best_forward is None:
+    odd_walk = is_bipartite(g).odd_closed_walk
+    if odd_walk is None:
         return OddCycleReport(None, None)
+    # L = len(odd_walk) - 1 bounds ell, so only walks shorter than L + 1 count.
+    best_len = len(odd_walk)
+    best_start = -1
+    for s in g.vertices():
+        length = _odd_closed_walk_through(g, s, best_len)
+        if length is not None:
+            best_len, best_start = length, s
 
+    forward = _parity_layers(g, best_start, 0)
     backward = _parity_layers(g, best_start, 1)
     walk = [best_start]
     v = best_start
@@ -328,7 +360,7 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
         v = min(
             u
             for u in g.neighbors(v)
-            if best_forward[u][parity] == step and backward[u][parity] == best_len - step
+            if forward[u][parity] == step and backward[u][parity] == best_len - step
         )
         walk.append(v)
     return OddCycleReport(best_len, tuple(walk))
@@ -336,17 +368,15 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
 
 @dataclass(frozen=True)
 class DoubledGraph:
-    """Bipartite double of a graph, with correspondence maps.
+    """Bipartite double of a graph, with its edge correspondence.
 
     Vertex v of the source appears as v (first copy) and v + n (second
     copy); each source edge uv becomes the pair u-(v+n) and v-(u+n), both
-    carrying the source weight. ``edge_origin`` maps every doubled edge back
-    to its source edge.
+    carrying the source weight.
     """
 
     graph: WeightedGraph
     source_vertex_count: int
-    edge_origin: dict[Edge, Edge]
 
     def doubled_pair(self, e: Edge) -> tuple[Edge, Edge]:
         u, v = e
@@ -358,10 +388,8 @@ def double_graph(g: WeightedGraph) -> DoubledGraph:
     """Build the bipartite double cover with both copies of every edge."""
     n = g.vertex_count
     weighted_edges: list[tuple[int, int, Fraction]] = []
-    origin: dict[Edge, Edge] = {}
     for u, v in g.edges:
         w = g.weight(u, v)
         for e in (edge_key(u, v + n), edge_key(v, u + n)):
             weighted_edges.append((e[0], e[1], w))
-            origin[e] = (u, v)
-    return DoubledGraph(WeightedGraph(2 * n, weighted_edges), n, origin)
+    return DoubledGraph(WeightedGraph(2 * n, weighted_edges), n)

@@ -3,13 +3,28 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
-from covergame import WeightedGraph, is_bipartite
+from covergame import OddCycleReport, WeightedGraph, is_bipartite
 
 
 def cycle_graph(k: int, weight=Fraction(1)) -> WeightedGraph:
     return WeightedGraph(k, [(i, (i + 1) % k, Fraction(weight)) for i in range(k)])
+
+
+def grid_edges(rows: int, cols: int) -> list[tuple[int, int, Fraction]]:
+    """Edges of a rows x cols grid on ids 0..rows*cols-1 (row-major), weight one."""
+    def vid(r, c):
+        return r * cols + c
+    edges = [(vid(r, c), vid(r, c + 1), Fraction(1)) for r in range(rows) for c in range(cols - 1)]
+    edges += [(vid(r, c), vid(r + 1, c), Fraction(1)) for r in range(rows - 1) for c in range(cols)]
+    return edges
+
+
+def cycle_edges(k: int, first: int = 0) -> list[tuple[int, int, Fraction]]:
+    """Edges of a k-cycle on ids first..first+k-1, weight one."""
+    return [(first + i, first + (i + 1) % k, Fraction(1)) for i in range(k)]
 
 
 def path_graph(weights) -> WeightedGraph:
@@ -101,3 +116,44 @@ def random_allocation(rng: random.Random, g: WeightedGraph, dual=None) -> tuple[
     bumped = list(dual)
     bumped[rng.randrange(n)] += Fraction(rng.randint(1, 3), 2)
     return tuple(bumped)
+
+
+def double_cover_odd_cycle(g: WeightedGraph) -> OddCycleReport:
+    """Reference shortest odd cycle: a full BFS of the parity double cover
+    from every vertex, O(|V| |E|), with its own BFS.
+
+    The state (v, p) is vertex v reached by a walk of parity p. The shortest
+    odd closed walk through s is the distance from (s, 0) to (s, 1); the
+    lowest s with the least distance wins, and the witness is the
+    lexicographically smallest shortest walk from (s, 0) to (s, 1).
+    """
+    n = g.vertex_count
+
+    def layers(start, start_parity):
+        dist = [[-1, -1] for _ in range(n)]
+        dist[start][start_parity] = 0
+        queue = deque([(start, start_parity)])
+        while queue:
+            v, p = queue.popleft()
+            for u in g.neighbors(v):
+                if dist[u][1 - p] == -1:
+                    dist[u][1 - p] = dist[v][p] + 1
+                    queue.append((u, 1 - p))
+        return dist
+
+    best_len, best_start, forward = None, -1, None
+    for s in range(n):
+        dist = layers(s, 0)
+        if dist[s][1] != -1 and (best_len is None or dist[s][1] < best_len):
+            best_len, best_start, forward = dist[s][1], s, dist
+    if best_len is None:
+        return OddCycleReport(None, None)
+    backward = layers(best_start, 1)
+    walk = [best_start]
+    for step in range(1, best_len + 1):
+        parity = step % 2
+        walk.append(min(
+            u for u in g.neighbors(walk[-1])
+            if forward[u][parity] == step and backward[u][parity] == best_len - step
+        ))
+    return OddCycleReport(best_len, tuple(walk))
