@@ -11,7 +11,6 @@ that certify all of it at desk scale.
 from .covers import (
     CoverCertificate,
     EdgeVector,
-    bipartite_min_edge_cover,
     canonicalize_to_odd_cycles,
     cover_weight,
     fractional_support_cycles,
@@ -88,7 +87,6 @@ __all__ = [
     "OracleBudget",
     "WeightedGraph",
     "allocate_alpha_core",
-    "bipartite_min_edge_cover",
     "boundary",
     "brute_core_check",
     "brute_fractional_optimum",

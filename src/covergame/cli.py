@@ -37,7 +37,7 @@ from .game import (
 )
 from .graphs import load_graph
 from .oracle import DEFAULT_BUDGET, OracleBudget, brute_core_check
-from .rationals import format_rational
+from .rationals import _parse_integer, format_rational
 
 
 _CAP_HELP = "candidate-edge cap for the exact solver"
@@ -45,6 +45,13 @@ _CAP_HELP = "candidate-edge cap for the exact solver"
 
 class _UsageError(Exception):
     pass
+
+
+def _cap(text: str) -> int:
+    """argparse type of --cap: ASCII digits only, so a bad cap is a usage error."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,7 +153,7 @@ def _cmd_allocate(args) -> tuple[int, dict, list[str]]:
 
 def _parse_members(text: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [_parse_integer(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise ValueError(f"bad coalition {text!r}; expected comma-separated vertex ids") from None
 
@@ -215,7 +222,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cover", parents=[common], help="integral minimum-weight edge cover")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("frac-cover", parents=[common], help="optimal half-integral edge cover")
@@ -233,13 +240,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("allocate", parents=[common], help="stable allocation from the dual optimum")
     p.add_argument("graph")
-    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_allocate)
 
     p = sub.add_parser("cost", parents=[common], help="exact cost of one coalition")
     p.add_argument("graph")
     p.add_argument("--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5")
-    p.add_argument("--cap", type=int, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cost)
 
     p = sub.add_parser("verify", parents=[common], help="check an allocation for the core property")

@@ -1,5 +1,6 @@
-"""Minimum-weight edge covers: exact integral search, the bipartite LP
-route, half-integral covers through the doubling construction, and the
+"""Minimum-weight edge covers: exact integral search, half-integral covers
+from the covering LP (through the doubling construction on non-bipartite
+graphs), the optimal packing LP behind every fractional optimum, and the
 rounding that leaves only vertex-disjoint odd cycles fractional."""
 
 from __future__ import annotations
@@ -154,24 +155,14 @@ def _integral_lp_cover(g: WeightedGraph) -> tuple[EdgeVector, Fraction]:
     return values, primal.objective_value
 
 
-def _packing_witness(g: WeightedGraph, weight: Fraction) -> tuple[Fraction, ...]:
-    """Optimal dual packing vector, whose total must equal the cover weight."""
-    dual = solve(dual_packing_lp(g))
-    if dual.objective_value != weight:
-        raise RuntimeError("primal and dual optima disagree")
-    return dual.values
-
-
-def bipartite_min_edge_cover(
-    g: WeightedGraph, *, include_dual_witness: bool = True
-) -> CoverCertificate:
-    """Minimum-weight edge cover of a bipartite graph via the covering LP,
-    with an optional optimal dual packing vector of equal total."""
-    if not is_bipartite(g).bipartite:
-        raise ValueError("LP-based integral covers require a bipartite graph")
-    values, weight = _integral_lp_cover(g)
-    witness = _packing_witness(g, weight) if include_dual_witness else None
-    return CoverCertificate("integral", values, weight, witness)
+def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
+    """An optimal packing vector y of the graph and its total, which equals
+    the fractional covering optimum: ``solve`` certifies y by its dual, a
+    fractional cover of equal weight."""
+    packing = solve(dual_packing_lp(g))
+    if packing.status != "optimal":
+        raise RuntimeError(f"dual packing LP ended with status {packing.status}")
+    return packing.values, packing.objective_value
 
 
 def half_integral_cover(
@@ -201,7 +192,11 @@ def half_integral_cover(
             raise RuntimeError("averaged cover weight disagrees with the doubled cover")
         if not is_feasible_cover(g, values):
             raise RuntimeError("averaged cover is not feasible")
-    witness = _packing_witness(g, weight) if include_dual_witness else None
+    witness = None
+    if include_dual_witness:  # an optimal packing vector of equal total
+        witness, total = _optimal_packing(g)
+        if total != weight:
+            raise RuntimeError("primal and dual optima disagree")
     return CoverCertificate("half-integral", values, weight, witness)
 
 
@@ -360,7 +355,7 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
     which bounds the number of passes by the edge count.
     """
     x = _validated_half_integral_cover(g, values)
-    optimum = solve(fractional_cover_lp(g)).objective_value
+    optimum = _optimal_packing(g)[1]
     if cover_weight(g, x) != optimum:
         raise ValueError("vector is not an optimal fractional cover")
 

@@ -17,13 +17,13 @@ from typing import Iterable, Sequence
 from .covers import (
     EXACT_CANDIDATE_CAP,
     EdgeVector,
+    _optimal_packing,
     _validated_half_integral_cover,
     min_edge_cover_exact,
 )
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
-from .lp import dual_packing_lp, fractional_cover_lp, solve
-from .rationals import parse_rational
+from .rationals import _parse_integer, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -56,7 +56,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
         if len(parts) != 2:
             raise ValueError(f"line {line_no}: expected 'vertex value'")
         try:
-            v = int(parts[0])
+            v = _parse_integer(parts[0])
         except ValueError:
             raise ValueError(f"line {line_no}: bad vertex id {parts[0]!r}") from None
         if not 0 <= v < vertex_count:
@@ -139,25 +139,15 @@ def allocate_alpha_core(
 ) -> AllocationReport:
     """Allocation from an optimal dual packing solution.
 
-    Dual feasibility gives the core property coalition by coalition, and
-    the total equals the fractional covering optimum, which is at least
-    ell/(ell+1) of the integral grand cost because the integrality gap is
-    1 + 1/ell (ell the shortest odd cycle length); on bipartite graphs the
-    total matches the grand cost exactly. All of that is asserted, not
-    assumed.
+    Packing feasibility is the core property coalition by coalition, and
+    the total equals the fractional covering optimum (``solve`` certifies
+    both by the LP dual, a fractional cover of equal weight). That total is
+    at least ell/(ell+1) of the integral grand cost because the
+    integrality gap is 1 + 1/ell (ell the shortest odd cycle length); on
+    bipartite graphs the total matches the grand cost exactly. Both bounds
+    are asserted whenever the grand cost is within the cap.
     """
-    dual = solve(dual_packing_lp(g))
-    if dual.status != "optimal":
-        raise RuntimeError(f"dual packing LP ended with status {dual.status}")
-    allocation = dual.values
-    total = dual.objective_value
-    primal = solve(fractional_cover_lp(g))
-    if primal.objective_value != total:
-        raise RuntimeError("dual total does not match the fractional covering optimum")
-    feasible, bad_edge = check_core_dual(g, allocation)
-    if not feasible:
-        raise RuntimeError(f"dual solution violates its own constraint on edge {bad_edge}")
-
+    allocation, total = _optimal_packing(g)
     ell = shortest_odd_cycle(g).length
     alpha = ONE if ell is None else Fraction(ell, ell + 1)
 
@@ -242,7 +232,7 @@ def exact_best_ratio(
 ) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
     covering alpha of the grand cost: fractional optimum over c(V)."""
-    fractional = solve(fractional_cover_lp(g)).objective_value
+    fractional = _optimal_packing(g)[1]
     grand = coalition_cost(g, g.vertices(), max_candidate_edges=max_candidate_edges)
     if grand == 0:
         raise ValueError("grand coalition cost is zero; the ratio is undefined")

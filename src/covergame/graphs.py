@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-from .rationals import parse_rational
+from .rationals import _parse_integer, parse_rational
 
 Edge = tuple[int, int]
 
@@ -127,7 +127,7 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
     if len(parts) != 2:
         raise GraphFormatError("bad-header", "expected 'n m'", header_no)
     try:
-        n, m = int(parts[0]), int(parts[1])
+        n, m = _parse_integer(parts[0]), _parse_integer(parts[1])
     except ValueError:
         raise GraphFormatError("bad-header", "expected integers 'n m'", header_no) from None
     if n <= 0 or m < 0:
@@ -150,7 +150,7 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
             if len(parts) != 3:
                 raise GraphFormatError("malformed", "expected 'u v w'", line_no)
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = _parse_integer(parts[0]), _parse_integer(parts[1])
             except ValueError:
                 raise GraphFormatError("malformed", "vertex ids must be integers", line_no) from None
             if u > v:

@@ -4,8 +4,11 @@ A dense two-phase tableau simplex over ``fractions.Fraction`` with Bland's
 anti-cycling rule. Instances here are desk-scale, so exactness and
 determinism are worth far more than sparse performance: the same input
 always takes the same pivot path and yields the same basic optimal
-solution, and feasibility of returned solutions is re-checked with exact
-equality (there is no epsilon anywhere in this module).
+solution. Constraints are ">=" or "<=" only, so every row owns one slack
+column, and the optimal dual is read off the final reduced costs of those
+columns. Every optimum is returned with its dual and certified by exact
+equality (there is no epsilon anywhere in this module): both are feasible
+and their objectives are equal, which proves both optimal.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .graphs import WeightedGraph, edge_key
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-RELATIONS = (">=", "<=", "=")
+RELATIONS = (">=", "<=")
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,15 @@ class LpSolution:
     """Solver outcome; ``values`` is a basic (vertex) solution when optimal.
 
     ``basis`` lists the structural variables that are basic at the optimum.
+    ``duals`` holds one optimal dual value per constraint: nonnegative on
+    ">=" rows of a min and "<=" rows of a max, nonpositive on the others.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple[Fraction, ...] | None
     objective_value: Fraction | None
     basis: frozenset[int]
+    duals: tuple[Fraction, ...] | None = None
 
 
 def _reduced_costs(cost: list[Fraction], tableau: list[list[Fraction]], basis: list[int]) -> list[Fraction]:
@@ -135,38 +141,49 @@ def _iterate(
 
 
 def _purge_artificials(tableau: list[list[Fraction]], basis: list[int], art_start: int) -> None:
-    # Pivot zero-level artificials out of the basis; a row with no real
-    # nonzero column is a redundant constraint and is dropped.
-    keep: list[int] = []
+    # Pivot zero-level artificials out of the basis. Each tableau row is a
+    # row of B^-1 times [A | slack columns], and the slack columns form a
+    # signed identity, so every row has a nonzero real column.
     for i in range(len(tableau)):
-        if basis[i] < art_start:
-            keep.append(i)
-            continue
-        row = tableau[i]
-        col = next((j for j in range(art_start) if row[j] != 0), None)
-        if col is None:
-            continue
-        _pivot(tableau, basis, None, i, col)
-        keep.append(i)
-    tableau[:] = [tableau[i] for i in keep]
-    basis[:] = [basis[i] for i in keep]
+        if basis[i] >= art_start:
+            row = tableau[i]
+            col = next(j for j in range(art_start) if row[j] != 0)
+            _pivot(tableau, basis, None, i, col)
 
 
-def _check_solution(lp: LinearProgram, values: tuple[Fraction, ...], objective: Fraction) -> None:
-    for con in lp.constraints:
-        lhs = sum(a * x for a, x in zip(con.coeffs, values))
-        ok = lhs >= con.rhs if con.relation == ">=" else lhs <= con.rhs if con.relation == "<=" else lhs == con.rhs
-        if not ok:
+def _check_solution(
+    lp: LinearProgram, values: tuple[Fraction, ...], duals: tuple[Fraction, ...], objective: Fraction
+) -> None:
+    # x and y feasible for the program and its dual with c.x = b.y equal to
+    # the objective prove both optimal. Arithmetic touches nonzeros only.
+    minimize = lp.sense == "min"
+    if any(x < 0 for x in values):
+        raise RuntimeError("solver returned a negative variable")
+    reduced = list(lp.objective)  # c - A^T y
+    for i, (con, y) in enumerate(zip(lp.constraints, duals)):
+        lhs = sum(a * values[j] for j, a in enumerate(con.coeffs) if a and values[j])
+        if not (lhs >= con.rhs if con.relation == ">=" else lhs <= con.rhs):
             raise RuntimeError(f"solver returned an infeasible point: {lhs} {con.relation} {con.rhs}")
-    if sum(c * x for c, x in zip(lp.objective, values)) != objective:
-        raise RuntimeError("solver objective does not match the returned point")
+        if y and (y < 0) == (minimize == (con.relation == ">=")):
+            raise RuntimeError(f"dual value of row {i} has the wrong sign")
+        for j, a in enumerate(con.coeffs):
+            if a and y:
+                reduced[j] -= a * y
+    if any(r < 0 if minimize else r > 0 for r in reduced):
+        raise RuntimeError("solver returned an infeasible dual")
+    primal_total = sum(c * x for c, x in zip(lp.objective, values) if x)
+    dual_total = sum(con.rhs * y for con, y in zip(lp.constraints, duals) if y)
+    if not primal_total == dual_total == objective:
+        raise RuntimeError("solver objective does not match the returned primal and dual")
 
 
 def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
-    """Solve an LP exactly, returning a basic optimal solution when one exists.
+    """Solve an LP exactly, returning a certified basic optimal solution and
+    its dual when one exists.
 
-    Phase 1 minimizes artificial variables introduced for ">=" and "="
-    rows; phase 2 optimizes the real objective. Bland's rule (lowest
+    Rows with a negative right-hand side are negated; row i then gets slack
+    column n + i, and each ">=" row an artificial variable, which phase 1
+    minimizes; phase 2 optimizes the real objective. Bland's rule (lowest
     eligible index, ties on the leaving side by lowest basic variable)
     guarantees termination and makes runs byte-reproducible. ``trace``
     receives one line per pivot when provided.
@@ -175,47 +192,26 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     minimize = lp.sense == "min"
     cost = [Fraction(c) if minimize else -Fraction(c) for c in lp.objective]
 
-    rows: list[list[Fraction]] = []
-    relations: list[str] = []
-    rhs_col: list[Fraction] = []
-    for con in lp.constraints:
-        coeffs = [Fraction(a) for a in con.coeffs]
-        rel = con.relation
-        rhs = Fraction(con.rhs)
-        if rhs < 0:
-            coeffs = [-a for a in coeffs]
-            rhs = -rhs
-            rel = {">=": "<=", "<=": ">=", "=": "="}[rel]
-        rows.append(coeffs)
-        relations.append(rel)
-        rhs_col.append(rhs)
-
-    m = len(rows)
-    n_slack = sum(1 for rel in relations if rel != "=")
-    n_art = sum(1 for rel in relations if rel != "<=")
-    art_start = n + n_slack
+    m = len(lp.constraints)
+    ge = [(con.relation == ">=") == (con.rhs >= 0) for con in lp.constraints]  # once negated
+    n_art = sum(ge)
+    art_start = n + m
     width = art_start + n_art + 1  # final column holds the right-hand side
 
     tableau: list[list[Fraction]] = []
     basis: list[int] = []
-    s_col = n
     a_col = art_start
-    for i in range(m):
-        row = [ZERO] * width
-        row[:n] = rows[i]
-        row[-1] = rhs_col[i]
-        rel = relations[i]
-        if rel == "<=":
-            row[s_col] = ONE
-            basis.append(s_col)
-            s_col += 1
-        else:
-            if rel == ">=":
-                row[s_col] = -ONE
-                s_col += 1
-            row[a_col] = ONE
+    for i, con in enumerate(lp.constraints):
+        row = [Fraction(a) for a in con.coeffs] + [ZERO] * (width - n - 1) + [Fraction(con.rhs)]
+        if con.rhs < 0:
+            row = [-a for a in row]
+        if ge[i]:
+            row[n + i], row[a_col] = -ONE, ONE
             basis.append(a_col)
             a_col += 1
+        else:
+            row[n + i] = ONE
+            basis.append(n + i)
         tableau.append(row)
 
     if n_art:
@@ -229,8 +225,7 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
         _purge_artificials(tableau, basis, art_start)
         tableau = [row[:art_start] + row[-1:] for row in tableau]
 
-    full_cost = cost + [ZERO] * n_slack
-    z = _reduced_costs(full_cost, tableau, basis)
+    z = _reduced_costs(cost + [ZERO] * m, tableau, basis)
     status = _iterate(tableau, basis, z, trace, phase=2)
     if status == "unbounded":
         return LpSolution("unbounded", None, None, frozenset())
@@ -239,12 +234,16 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     for i, b in enumerate(basis):
         if b < n:
             values[b] = tableau[i][-1]
-    objective = -z[-1]
-    if not minimize:
-        objective = -objective
+    objective = -z[-1] if minimize else z[-1]
+    # Row i's dual is the reduced cost of its slack, signed by the sense and
+    # relation; negating a row flips its relation and its slack, which cancel.
+    duals = tuple(
+        z[n + i] if minimize == (con.relation == ">=") else -z[n + i]
+        for i, con in enumerate(lp.constraints)
+    )
     solution = tuple(values)
-    _check_solution(lp, solution, objective)
-    return LpSolution("optimal", solution, objective, frozenset(b for b in basis if b < n))
+    _check_solution(lp, solution, duals, objective)
+    return LpSolution("optimal", solution, objective, frozenset(b for b in basis if b < n), duals)
 
 
 def fractional_cover_lp(g: WeightedGraph) -> LinearProgram:

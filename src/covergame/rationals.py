@@ -2,7 +2,8 @@
 
 Weights, cover values, and allocations travel through files and JSON as
 strings like "5/2" or "3"; decimal and exponent forms are rejected so no
-floating point can leak into the pipeline.
+floating point can leak into the pipeline. Tokens take ASCII digits and
+an optional leading "-" only: no "+", "_", whitespace or other digits.
 """
 
 from __future__ import annotations
@@ -10,7 +11,15 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_INTEGER_RE = re.compile(r"-?[0-9]+")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_integer(token: str) -> int:
+    """Parse an integer token; raises ValueError on anything else."""
+    if _INTEGER_RE.fullmatch(token) is None:
+        raise ValueError(f"not an integer literal: {token!r}")
+    return int(token)
 
 
 def parse_rational(token: str) -> Fraction:
@@ -18,7 +27,7 @@ def parse_rational(token: str) -> Fraction:
 
     Raises ValueError on anything else, including decimals and "p/0".
     """
-    match = _RATIONAL_RE.match(token)
+    match = _RATIONAL_RE.fullmatch(token)
     if match is None:
         raise ValueError(f"not a rational literal: {token!r}")
     numerator = int(match.group(1))

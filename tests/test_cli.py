@@ -1,12 +1,11 @@
 """CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
 
-import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from covergame import game
+from covergame import lp
 from covergame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -114,6 +113,22 @@ class TestCost:
         code, _, err = run(capsys, "cost", DATA / "path3.g", "--coalition", "9")
         assert code == 1
 
+    @pytest.mark.parametrize("coalition", ["0_1", "+1", "0,\u0661"])
+    def test_non_ascii_digit_coalition_exits_1(self, capsys, coalition):
+        code, out, err = run(capsys, "cost", DATA / "path3.g", "--coalition", coalition)
+        assert code == 1 and out == "" and "coalition" in err
+
+    def test_spaced_coalition(self, capsys):
+        code, out, _ = run(capsys, "cost", DATA / "path3.g", "--coalition", "0, 2")
+        assert code == 0 and "cost: 4" in out
+
+    @pytest.mark.parametrize("command", ["cover", "allocate", "cost"])
+    def test_negative_cap_is_usage_error(self, capsys, command):
+        extra = ("--coalition", "0") if command == "cost" else ()
+        code, out, err = run(capsys, command, DATA / "path3.g", *extra, "--cap", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: argument --cap: expected a nonnegative integer, not '-1'\n"
+
 
 class TestVerify:
     def test_good_allocation(self, capsys):
@@ -172,23 +187,43 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "verify", DATA / "triangle.g", bad)
         assert code == 1 and "bad rational" in err
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("0_2 1\n0 1 1\n", "bad-header: expected integers 'n m' (line 1)"),
+            ("2 1\n0 +1 1\n", "malformed: vertex ids must be integers (line 2)"),
+            ("2 1\n0 1 \u0663\n", "malformed: bad weight '\u0663' (line 2)"),
+        ],
+    )
+    def test_non_ascii_digit_graph_exits_1(self, tmp_path, capsys, text, expected):
+        bad = tmp_path / "bad.g"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "frac-cover", bad)
+        assert (code, out, err) == (1, "", f"error: {expected}\n")
+
+    def test_non_ascii_digit_allocation_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.alloc"
+        bad.write_text("0_1 1/2\n1 1/2\n2 1/2\n")
+        code, out, err = run(capsys, "verify", DATA / "triangle.g", bad)
+        assert code == 1 and out == "" and "bad vertex id '0_1'" in err
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1
 
     def test_internal_certificate_failure_exits_4(self, capsys, monkeypatch):
-        real_solve = game.solve
+        real_iterate = lp._iterate
 
-        def skewed_solve(lp, *args, **kwargs):
-            solution = real_solve(lp, *args, **kwargs)
-            if lp.sense == "min":  # the covering LP: its total no longer matches the dual
-                return dataclasses.replace(solution, objective_value=solution.objective_value + 1)
-            return solution
+        def skewed_iterate(tableau, basis, z, trace, phase):
+            status = real_iterate(tableau, basis, z, trace, phase)
+            if phase == 2:  # the reduced cost of row 0's slack, and so its dual, is off by one
+                z[len(z) - 1 - len(tableau)] += 1
+            return status
 
-        monkeypatch.setattr(game, "solve", skewed_solve)
+        monkeypatch.setattr(lp, "_iterate", skewed_iterate)
         code, out, err = run(capsys, "allocate", DATA / "triangle.g")
         assert code == 4 and out == ""
-        assert err == "error: internal: dual total does not match the fractional covering optimum\n"
+        assert err == "error: internal: solver objective does not match the returned primal and dual\n"
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_byte_identical_runs(self, capsys, fmt):

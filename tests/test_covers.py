@@ -11,7 +11,6 @@ from helpers import cycle_graph, path_graph, random_bipartite_graph, random_grap
 from covergame import (
     CapExceededError,
     WeightedGraph,
-    bipartite_min_edge_cover,
     brute_fractional_optimum,
     brute_min_cover,
     canonicalize_to_odd_cycles,
@@ -95,31 +94,29 @@ class TestExactCover:
 
 
 class TestBipartiteCover:
+    """Bipartite graphs: half_integral_cover returns the integral optimum."""
+
     def test_single_edge(self):
-        cert = bipartite_min_edge_cover(path_graph([F(5, 2)]))
+        cert = half_integral_cover(path_graph([F(5, 2)]))
         assert cert.weight == F(5, 2)
         assert cert.values[(0, 1)] == 1
 
     def test_six_cycle_matches_brute_force(self):
         g = cycle_graph(6)
         assert brute_min_cover(g, range(6)) == 3
-        cert = bipartite_min_edge_cover(g)
+        cert = half_integral_cover(g)
         assert cert.weight == 3
 
     def test_star_needs_every_edge(self):
-        cert = bipartite_min_edge_cover(star_graph(3))
+        cert = half_integral_cover(star_graph(3))
         assert cert.weight == 3
         assert all(x == 1 for x in cert.values.values())
-
-    def test_rejects_non_bipartite(self):
-        with pytest.raises(ValueError):
-            bipartite_min_edge_cover(triangle())
 
     def test_dual_witness_totals_match(self):
         rng = random.Random(43)
         for _ in range(15):
             g = random_bipartite_graph(rng)
-            cert = bipartite_min_edge_cover(g)
+            cert = half_integral_cover(g)
             assert cert.dual_witness is not None
             assert sum(cert.dual_witness) == cert.weight
             assert all(x in (0, 1) for x in cert.values.values())

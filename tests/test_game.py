@@ -253,6 +253,12 @@ class TestAllocationFiles:
             ("5 1\n", "out of range"),
             ("zero 1\n", "bad vertex"),
             ("0 1 2\n", "expected"),
+            # Vertex ids and values take ASCII digits only.
+            ("0_1 1\n1 0\n2 0\n", "bad vertex"),
+            ("+0 1\n1 0\n2 0\n", "bad vertex"),
+            pytest.param("\u0660 1\n1 0\n2 0\n", "bad vertex", id="arabic-indic-vertex"),
+            pytest.param("0 \u0663/\u0664\n1 0\n2 0\n", "bad rational", id="arabic-indic-value"),
+            ("0 1_0\n1 0\n2 0\n", "bad rational"),
         ],
     )
     def test_errors(self, text, message):

@@ -28,6 +28,7 @@ from covergame import (
     edges_within,
     is_bipartite,
     parse_graph,
+    parse_rational,
     shortest_odd_cycle,
     star_edges,
 )
@@ -80,6 +81,15 @@ class TestParsing:
             ("3 1\n0 5 1\n", "vertex-range"),
             ("x y\n", "bad-header"),
             ("", "bad-header"),
+            # Integer and rational tokens take ASCII digits only.
+            ("0_2 1\n0 1 1\n", "bad-header"),
+            ("+2 1\n0 1 1\n", "bad-header"),
+            pytest.param("\u0662 1\n0 1 1\n", "bad-header", id="arabic-indic-header"),
+            ("2 1\n0_0 1 1\n", "malformed"),
+            ("2 1\n0 +1 1\n", "malformed"),
+            pytest.param("2 1\n0 \u0661 1\n", "malformed", id="arabic-indic-id"),
+            pytest.param("2 1\n0 1 \u0663/\u0664\n", "malformed", id="arabic-indic-weight"),
+            ("2 1\n0 1 1_0\n", "malformed"),
             # The constructor is the only graph checker: the same violations
             # raised without a parser, and so without a line number.
             pytest.param((2, []), "isolated-vertex", id="constructor-isolated-vertex"),
@@ -123,6 +133,11 @@ class TestParsing:
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
         assert str(err.value) == expected
+
+    @pytest.mark.parametrize("token", ["3\n", "\u0663/\u0664", "+3", "3_0", " 3", "3/ 4", "3/+4"])
+    def test_rational_tokens_are_ascii_digits_only(self, token):
+        with pytest.raises(ValueError):
+            parse_rational(token)
 
     def test_huge_header_rejected_before_allocating_n(self):
         # Minimum degree one forces n <= 2m, so a 10^7-vertex header with one

@@ -11,10 +11,14 @@ from covergame import (
     Constraint,
     LinearProgram,
     brute_fractional_optimum,
+    check_core_dual,
+    cover_weight,
     dual_packing_lp,
     fractional_cover_lp,
+    is_feasible_cover,
     solve,
 )
+from covergame import lp as lp_module
 
 F = Fraction
 
@@ -43,7 +47,8 @@ class TestSolver:
         assert sol.objective_value == 1
 
     def test_equality_constraint(self):
-        sol = solve(lp_min([1, 1], [([1, 1], "=", 2)]))
+        # An equality is written as a ">=" and "<=" pair.
+        sol = solve(lp_min([1, 1], [([1, 1], ">=", 2), ([1, 1], "<=", 2)]))
         assert sol.status == "optimal"
         assert sol.objective_value == 2
 
@@ -67,9 +72,13 @@ class TestSolver:
         assert sol.objective_value == 1
 
     def test_redundant_rows_are_dropped(self):
-        sol = solve(lp_min([1, 1], [([1, 1], "=", 2), ([2, 2], "=", 4)]))
+        # Redundant rows stay in the tableau: each keeps its slack column,
+        # so its artificial can always be pivoted out after phase 1.
+        rows = [([1, 1], ">=", 2), ([1, 1], "<=", 2), ([2, 2], ">=", 4), ([2, 2], "<=", 4)]
+        sol = solve(lp_min([1, 1], rows))
         assert sol.status == "optimal"
         assert sol.objective_value == 2
+        assert len(sol.duals) == 4
 
     def test_fractional_data(self):
         sol = solve(lp_min([F(2, 3), F(1, 5)], [([1, 0], ">=", F(3, 7)), ([0, 1], ">=", F(1, 2))]))
@@ -184,3 +193,92 @@ class TestExactness:
     def test_bad_relation_rejected(self):
         with pytest.raises(ValueError):
             Constraint((F(1),), ">", F(1))
+
+    def test_equality_relation_rejected(self):
+        with pytest.raises(ValueError):
+            Constraint((F(1),), "=", F(1))
+
+
+class TestDualCertificate:
+    @pytest.mark.parametrize(
+        "lp, duals",
+        [
+            # min x s.t. -x <= -1: the row is negated internally
+            (lp_min([1], [([-1], "<=", -1)]), (F(-1),)),
+            # max -x s.t. x >= 2
+            (lp_max([-1], [([1], ">=", 2)]), (F(-1),)),
+            # max x + y s.t. x <= 1, y <= 3, x + y <= 2
+            (lp_max([1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 3), ([1, 1], "<=", 2)]), (0, 0, 1)),
+        ],
+    )
+    def test_hand_solved_duals(self, lp, duals):
+        sol = solve(lp)
+        assert sol.duals == duals
+        assert sum(con.rhs * y for con, y in zip(lp.constraints, sol.duals)) == sol.objective_value
+
+    def test_no_duals_without_optimum(self):
+        assert solve(lp_min([1], [([1], "<=", -1)])).duals is None
+        assert solve(lp_max([1], [([-1], "<=", 1)])).duals is None
+
+    def test_covering_duals_are_core_allocations(self):
+        rng = random.Random(41)
+        for _ in range(50):
+            g = random_graph(rng, max_vertices=7)
+            sol = solve(fractional_cover_lp(g))
+            assert check_core_dual(g, sol.duals) == (True, None)
+            assert sum(sol.duals) == sol.objective_value
+
+    def test_packing_duals_are_fractional_covers(self):
+        rng = random.Random(47)
+        for _ in range(50):
+            g = random_graph(rng, max_vertices=7)
+            sol = solve(dual_packing_lp(g))
+            x = dict(zip(g.edges, sol.duals))
+            assert all(value >= 0 for value in x.values())
+            assert is_feasible_cover(g, x)
+            assert cover_weight(g, x) == sol.objective_value
+
+    @pytest.mark.parametrize(
+        "lp, values, duals, objective",
+        [
+            # each certificate breaks exactly one condition
+            pytest.param(lp_min([1], [([1], ">=", 1)]), (0,), (0,), 0, id="infeasible-row"),
+            pytest.param(lp_max([1, 0], [([1, 1], "<=", 1)]), (2, -1), (2,), 2, id="negative-x"),
+            pytest.param(
+                lp_min([1], [([1], ">=", 1), ([1], "<=", 3)]), (1,), (0, F(1, 3)), 1, id="dual-sign"
+            ),
+            pytest.param(
+                lp_min([1, 2], [([1, 0], ">=", 1), ([0, 1], ">=", 0)]), (1, 0), (1, 5), 1,
+                id="dual-infeasible",
+            ),
+            pytest.param(lp_min([1], [([1], ">=", 1)]), (1,), (F(1, 2),), 1, id="dual-total"),
+            pytest.param(lp_min([1], [([1], ">=", 1)]), (2,), (1,), 1, id="primal-total"),
+        ],
+    )
+    def test_checker_rejects_each_broken_condition(self, lp, values, duals, objective):
+        assert solve(lp).status == "optimal"  # its true optimum passes the same check
+        values, duals = tuple(map(F, values)), tuple(map(F, duals))
+        with pytest.raises(RuntimeError):
+            lp_module._check_solution(lp, values, duals, F(objective))
+
+    @pytest.mark.parametrize("fault", ["skewed-slack-cost", "flipped-duals", "skewed-objective"])
+    def test_faulty_phase_2_is_caught(self, monkeypatch, fault):
+        real_iterate = lp_module._iterate
+
+        def faulty_iterate(tableau, basis, z, trace, phase):
+            status = real_iterate(tableau, basis, z, trace, phase)
+            if phase == 2:
+                n = len(z) - 1 - len(tableau)  # slack columns n..n+m-1, then the objective
+                if fault == "skewed-slack-cost":
+                    z[n] += 1
+                elif fault == "flipped-duals":
+                    z[n:-1] = [-v for v in z[n:-1]]
+                else:
+                    z[-1] -= 1
+            return status
+
+        monkeypatch.setattr(lp_module, "_iterate", faulty_iterate)
+        for g in (triangle(), cycle_graph(5), star_graph(3)):
+            for lp in (fractional_cover_lp(g), dual_packing_lp(g)):
+                with pytest.raises(RuntimeError):
+                    solve(lp)
