@@ -13,7 +13,6 @@ exceeded, 3 verification failed (verify only, with the witness printed),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -36,7 +35,6 @@ from .game import (
     parse_allocation,
 )
 from .graphs import load_graph
-from .oracle import DEFAULT_BUDGET, OracleBudget, brute_core_check
 from .rationals import _parse_integer, format_rational
 
 
@@ -190,9 +188,14 @@ def _cmd_verify(args) -> tuple[int, dict, list[str]]:
     ]
     ok = dual_ok and star_ok
     if args.exhaustive:
-        budget = OracleBudget(
-            max_cover_edges=args.oracle_edges, max_coalition_vertices=args.oracle_vertices
-        )
+        from .oracle import OracleBudget, brute_core_check
+
+        # An --oracle-* flag left out keeps the OracleBudget default.
+        limits = {
+            "max_cover_edges": args.oracle_edges,
+            "max_coalition_vertices": args.oracle_vertices,
+        }
+        budget = OracleBudget(**{k: v for k, v in limits.items() if v is not None})
         oracle_ok, bad_coalition = brute_core_check(g, allocation, budget)
         payload["oracle"] = {
             "ok": oracle_ok,
@@ -257,11 +260,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--oracle-vertices", type=int, help="oracle coalition budget")
     p.add_argument("--oracle-edges", type=int, help="oracle cover-enumeration budget")
-    p.set_defaults(
-        handler=_cmd_verify,
-        oracle_vertices=DEFAULT_BUDGET.max_coalition_vertices,
-        oracle_edges=DEFAULT_BUDGET.max_cover_edges,
-    )
+    p.set_defaults(handler=_cmd_verify)
     return parser
 
 
@@ -284,6 +283,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 4
     if args.format == "json":
+        import json
+
         print(json.dumps(payload, indent=2))
     else:
         print("\n".join(lines))

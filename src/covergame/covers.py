@@ -12,7 +12,6 @@ from typing import Iterable
 
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key, is_bipartite
-from .lp import dual_packing_lp, fractional_cover_lp, solve
 from .rationals import format_rational
 
 ZERO = Fraction(0)
@@ -20,6 +19,16 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 EdgeVector = dict[Edge, Fraction]
+
+
+def __getattr__(name: str):
+    # The LP module loads only when a cover is solved: the two helpers that
+    # solve import it. Its names stay readable as attributes of this module.
+    if name in ("dual_packing_lp", "fractional_cover_lp", "solve"):
+        from . import lp
+
+        return getattr(lp, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -143,6 +152,8 @@ def _integral_lp_cover(g: WeightedGraph) -> tuple[EdgeVector, Fraction]:
     basic optimal solution is a 0/1 vector; that is asserted rather than
     trusted.
     """
+    from .lp import fractional_cover_lp, solve
+
     primal = solve(fractional_cover_lp(g))
     if primal.status != "optimal":
         raise RuntimeError(f"covering LP ended with status {primal.status}")
@@ -159,6 +170,8 @@ def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
     """An optimal packing vector y of the graph and its total, which equals
     the fractional covering optimum: ``solve`` certifies y by its dual, a
     fractional cover of equal weight."""
+    from .lp import dual_packing_lp, solve
+
     packing = solve(dual_packing_lp(g))
     if packing.status != "optimal":
         raise RuntimeError(f"dual packing LP ended with status {packing.status}")

@@ -32,16 +32,20 @@ Allocation = tuple[Fraction, ...]
 
 
 def _validated_allocation(g: WeightedGraph, allocation: Sequence[Fraction]) -> Allocation:
-    values = tuple(Fraction(v) for v in allocation)
+    values = tuple(a if type(a) is Fraction else Fraction(a) for a in allocation)
     if len(values) != g.vertex_count:
         raise ValueError(
             f"allocation must assign a value to every vertex "
             f"(expected {g.vertex_count}, got {len(values)})"
         )
     for v, value in enumerate(values):
-        if value < 0:
+        if value.numerator < 0:
             raise ValueError(f"allocation for vertex {v} is negative")
     return values
+
+
+def _numerators_denominators(values: Allocation) -> tuple[list[int], list[int]]:
+    return [a.numerator for a in values], [a.denominator for a in values]
 
 
 def parse_allocation(text: str, vertex_count: int) -> Allocation:
@@ -67,7 +71,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
             value = parse_rational(parts[1])
         except ValueError:
             raise ValueError(f"line {line_no}: bad rational {parts[1]!r}") from None
-        if value < 0:
+        if value.numerator < 0:
             raise ValueError(f"line {line_no}: negative allocation for vertex {v}")
         values[v] = value
     for v in range(vertex_count):
@@ -89,10 +93,17 @@ def coalition_cost(
 def check_core_dual(
     g: WeightedGraph, allocation: Sequence[Fraction]
 ) -> tuple[bool, Edge | None]:
-    """Core property via dual feasibility: a_u + a_v <= w_uv on every edge."""
-    a = _validated_allocation(g, allocation)
+    """Core property via dual feasibility: a_u + a_v <= w_uv on every edge.
+
+    Compared in integers by cross-multiplication: with a_u = p_u/q_u,
+    a_v = p_v/q_v and w_uv = r/s (positive denominators), edge uv is
+    violated when (p_u q_v + p_v q_u) s > r q_u q_v. Returns the first
+    violated edge in edge order, if any.
+    """
+    p, q = _numerators_denominators(_validated_allocation(g, allocation))
     for u, v in g.edges:
-        if a[u] + a[v] > g.weight(u, v):
+        w = g.weight(u, v)
+        if (p[u] * q[v] + p[v] * q[u]) * w.denominator > w.numerator * q[u] * q[v]:
             return False, (u, v)
     return True, None
 
@@ -106,18 +117,29 @@ def check_core_stars(
     Only the worst star per center needs checking: the slack of (v, T) is
     a_v plus the sum of the margins a_u - w_uv over T, which is maximized
     by taking exactly the neighbors with positive margin, or the single
-    best neighbor when no margin is positive (T must be nonempty).
+    best neighbor when no margin is positive (T must be nonempty). Since
+    a_v >= 0, any positive margin violates the star. Otherwise the best
+    neighbor is the one of largest margin, ties going to the lowest id,
+    and the star is violated when a_v plus its margin is positive. Margins
+    are compared in integers by cross-multiplication: with a_u = p_u/q_u
+    and w_uv = r/s, the margin is (p_u s - r q_u) / (q_u s).
     """
-    a = _validated_allocation(g, allocation)
+    p, q = _numerators_denominators(_validated_allocation(g, allocation))
     for v in range(g.vertex_count):
-        margins = [(a[u] - g.weight(u, v), u) for u in g.neighbors(v)]
-        members = [u for margin, u in margins if margin > 0]
-        if not members:
-            members = [max(margins, key=lambda t: (t[0], -t[1]))[1]]
-        total = a[v] + sum(a[u] for u in members)
-        capacity = sum(g.weight(u, v) for u in members)
-        if total > capacity:
-            return False, (v, frozenset(members))
+        positive = []
+        best_num, best_den, best_u = 0, 0, -1  # best margin; best_den 0 means none yet
+        for u in g.neighbors(v):  # increasing ids, so a tie keeps the lowest
+            w = g.weight(u, v)
+            num = p[u] * w.denominator - w.numerator * q[u]
+            den = q[u] * w.denominator
+            if num > 0:
+                positive.append(u)
+            elif not best_den or num * best_den > best_num * den:
+                best_num, best_den, best_u = num, den, u
+        if positive:
+            return False, (v, frozenset(positive))
+        if best_num * q[v] + p[v] * best_den > 0:
+            return False, (v, frozenset((best_u,)))
     return True, None
 
 

@@ -61,8 +61,9 @@ class WeightedGraph:
             e = edge_key(u, v)
             if e in weight:
                 raise GraphFormatError("duplicate-edge", f"edge {e[0]}-{e[1]} appears twice")
-            w = Fraction(w)
-            if w < 0:
+            if type(w) is not Fraction:
+                w = Fraction(w)
+            if w.numerator < 0:
                 raise GraphFormatError("negative-weight", f"edge {e[0]}-{e[1]} has weight {w}")
             weight[e] = w
         # Checked on the O(m) endpoint set before anything of size n exists:

@@ -56,7 +56,6 @@ class LinearProgram:
 class LpSolution:
     """Solver outcome; ``values`` is a basic (vertex) solution when optimal.
 
-    ``basis`` lists the structural variables that are basic at the optimum.
     ``duals`` holds one optimal dual value per constraint: nonnegative on
     ">=" rows of a min and "<=" rows of a max, nonpositive on the others.
     """
@@ -64,7 +63,6 @@ class LpSolution:
     status: str  # "optimal" | "infeasible" | "unbounded"
     values: tuple[Fraction, ...] | None
     objective_value: Fraction | None
-    basis: frozenset[int]
     duals: tuple[Fraction, ...] | None = None
 
 
@@ -221,14 +219,14 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
         if status != "optimal":
             raise RuntimeError("phase 1 is bounded below by zero and cannot be unbounded")
         if z[-1] != 0:  # artificial total is -z[-1]; positive means infeasible
-            return LpSolution("infeasible", None, None, frozenset())
+            return LpSolution("infeasible", None, None)
         _purge_artificials(tableau, basis, art_start)
         tableau = [row[:art_start] + row[-1:] for row in tableau]
 
     z = _reduced_costs(cost + [ZERO] * m, tableau, basis)
     status = _iterate(tableau, basis, z, trace, phase=2)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, frozenset())
+        return LpSolution("unbounded", None, None)
 
     values = [ZERO] * n
     for i, b in enumerate(basis):
@@ -243,7 +241,7 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     )
     solution = tuple(values)
     _check_solution(lp, solution, duals, objective)
-    return LpSolution("optimal", solution, objective, frozenset(b for b in basis if b < n), duals)
+    return LpSolution("optimal", solution, objective, duals)
 
 
 def fractional_cover_lp(g: WeightedGraph) -> LinearProgram:

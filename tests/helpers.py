@@ -118,6 +118,33 @@ def random_allocation(rng: random.Random, g: WeightedGraph, dual=None) -> tuple[
     return tuple(bumped)
 
 
+def fraction_check_core_dual(g: WeightedGraph, allocation) -> tuple:
+    """Reference dual checker in Fractions: the first edge, in edge order,
+    with a_u + a_v > w_uv."""
+    a = [Fraction(x) for x in allocation]
+    for u, v in g.edges:
+        if a[u] + a[v] > g.weight(u, v):
+            return False, (u, v)
+    return True, None
+
+
+def fraction_check_core_stars(g: WeightedGraph, allocation) -> tuple:
+    """Reference star checker in Fractions: per center, the neighbors of
+    positive margin a_u - w_uv, or else the best neighbor (ties to the
+    lowest id), summed and compared in full."""
+    a = [Fraction(x) for x in allocation]
+    for v in range(g.vertex_count):
+        margins = [(a[u] - g.weight(u, v), u) for u in g.neighbors(v)]
+        members = [u for margin, u in margins if margin > 0]
+        if not members:
+            members = [max(margins, key=lambda t: (t[0], -t[1]))[1]]
+        total = a[v] + sum(a[u] for u in members)
+        capacity = sum(g.weight(u, v) for u in members)
+        if total > capacity:
+            return False, (v, frozenset(members))
+    return True, None
+
+
 def double_cover_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     """Reference shortest odd cycle: a full BFS of the parity double cover
     from every vertex, O(|V| |E|), with its own BFS.

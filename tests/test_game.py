@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 from helpers import (
     cycle_graph,
+    fraction_check_core_dual,
+    fraction_check_core_stars,
     path_graph,
     random_allocation,
     random_graph,
@@ -33,6 +35,58 @@ from covergame import (
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def _checker_corpus(seed: int, graphs: int):
+    """(graph, allocation) pairs for the integer core checkers.
+
+    Even graphs carry 6-digit denominators, odd ones small int weights, so
+    margins often tie; both get some zero weights. Per graph: a greedy
+    maximal packing (a core allocation with tight edges, whose integral
+    entries are passed as ints), the same with one edge violated, the
+    same with one star of two or more positive-margin members, and an
+    allocation below every incident weight (no positive margin).
+    """
+    rng = random.Random(seed)
+    for i in range(graphs):
+        shape = random_graph(rng, max_vertices=9, max_extra_edges=5)
+        big = i % 2 == 0
+
+        def weight():
+            if rng.random() < 0.1:
+                return 0
+            if big:
+                q = rng.randint(100_000, 999_999)
+                return F(rng.randint(1, 9 * q), q)
+            return rng.randint(1, 3)
+
+        g = WeightedGraph(shape.vertex_count, [(u, v, weight()) for u, v in shape.edges])
+        n = g.vertex_count
+        eps = F(1, rng.randint(100_000, 999_999)) if big else HALF
+
+        core = [F(0)] * n
+        for v in rng.sample(range(n), n):
+            core[v] = min(g.weight(u, v) - core[u] for u in g.neighbors(v))
+        yield g, [int(a) if a.denominator == 1 else a for a in core]
+
+        u, v = rng.choice(g.edges)
+        edge = list(core)
+        edge[u] = g.weight(u, v) - core[v] + eps
+        yield g, edge
+
+        centers = [v for v in range(n) if g.degree(v) >= 2]
+        if centers:
+            v = rng.choice(centers)
+            star = list(core)
+            for u in rng.sample(g.neighbors(v), rng.randint(2, g.degree(v))):
+                star[u] = g.weight(u, v) + eps
+            yield g, star
+
+        below = []
+        for v in range(n):
+            cap = min(g.weight(u, v) for u in g.neighbors(v))
+            below.append(max(F(0), cap - rng.choice((0, 0, HALF, 1)) * (eps if big else 1)))
+        yield g, below
 
 
 class TestCoalitionCost:
@@ -66,6 +120,24 @@ class TestCheckers:
         ok, witness = check_core_stars(g, (F(1), F(1), F(0)))
         assert not ok
         assert witness == (0, frozenset({1}))
+
+    def test_integer_checkers_match_fraction_reference(self):
+        tight = multi_member = tied = 0
+        for g, a in _checker_corpus(seed=409, graphs=320):
+            dual = check_core_dual(g, a)
+            stars = check_core_stars(g, a)
+            assert dual == fraction_check_core_dual(g, a), (g.edges, a)
+            assert stars == fraction_check_core_stars(g, a), (g.edges, a)
+            if dual[0]:
+                tight += any(a[u] + a[v] == g.weight(u, v) for u, v in g.edges)
+            if not stars[0]:
+                v, members = stars[1]
+                multi_member += len(members) >= 2
+                margins = [a[u] - g.weight(u, v) for u in g.neighbors(v)]
+                tied += max(margins) <= 0 and margins.count(max(margins)) >= 2
+        # The corpus reaches each branch where a strict comparison or the
+        # lowest-id tie rule decides the result.
+        assert tight >= 100 and multi_member >= 50 and tied >= 20, (tight, multi_member, tied)
 
     def test_zero_allocation_passes(self):
         g = triangle()
