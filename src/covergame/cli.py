@@ -35,7 +35,7 @@ from .game import (
     parse_allocation,
 )
 from .graphs import load_graph
-from .rationals import _parse_integer, format_rational
+from .rationals import _echo, _parse_integer, format_rational
 
 
 _CAP_HELP = "candidate-edge cap for the exact solver"
@@ -45,10 +45,11 @@ class _UsageError(Exception):
     pass
 
 
-def _cap(text: str) -> int:
-    """argparse type of --cap: ASCII digits only, so a bad cap is a usage error."""
+def _count(text: str) -> int:
+    """argparse type of every numeric flag: ASCII digits only, so a bad
+    value is a usage error."""
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {text!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {_echo(text)}")
     return int(text)
 
 
@@ -153,7 +154,8 @@ def _parse_members(text: str) -> list[int]:
     try:
         return [_parse_integer(part.strip()) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise ValueError(f"bad coalition {text!r}; expected comma-separated vertex ids") from None
+        message = f"bad coalition {_echo(text)}; expected comma-separated vertex ids"
+        raise ValueError(message) from None
 
 
 def _cmd_cost(args) -> tuple[int, dict, list[str]]:
@@ -225,7 +227,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cover", parents=[common], help="integral minimum-weight edge cover")
     p.add_argument("graph")
-    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cover)
 
     p = sub.add_parser("frac-cover", parents=[common], help="optimal half-integral edge cover")
@@ -243,13 +245,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("allocate", parents=[common], help="stable allocation from the dual optimum")
     p.add_argument("graph")
-    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_allocate)
 
     p = sub.add_parser("cost", parents=[common], help="exact cost of one coalition")
     p.add_argument("graph")
     p.add_argument("--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5")
-    p.add_argument("--cap", type=_cap, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
+    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
     p.set_defaults(handler=_cmd_cost)
 
     p = sub.add_parser("verify", parents=[common], help="check an allocation for the core property")
@@ -258,8 +260,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--exhaustive", action="store_true", help="also run the all-coalitions brute-force oracle"
     )
-    p.add_argument("--oracle-vertices", type=int, help="oracle coalition budget")
-    p.add_argument("--oracle-edges", type=int, help="oracle cover-enumeration budget")
+    p.add_argument("--oracle-vertices", type=_count, help="oracle coalition budget")
+    p.add_argument("--oracle-edges", type=_count, help="oracle cover-enumeration budget")
     p.set_defaults(handler=_cmd_verify)
     return parser
 

@@ -1,17 +1,20 @@
 """Minimum-weight edge covers: exact integral search, half-integral covers
 from the covering LP (through the doubling construction on non-bipartite
 graphs), the optimal packing LP behind every fractional optimum, and the
-rounding that leaves only vertex-disjoint odd cycles fractional."""
+rounding that leaves only vertex-disjoint odd cycles fractional.
+
+The rounding traverses the 1/2-valued support with the BFS and the
+lexicographic shortest path of ``graphs``."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key, is_bipartite
+from .graphs import _bfs_distances, _lex_shortest_path  # the shared traversal
 from .rationals import format_rational
 
 ZERO = Fraction(0)
@@ -64,9 +67,11 @@ def cover_weight(g: WeightedGraph, values: EdgeVector) -> Fraction:
 
 def is_feasible_cover(g: WeightedGraph, values: EdgeVector) -> bool:
     """Every vertex carries total incident value at least one."""
-    return all(
-        sum(values[edge_key(v, u)] for u in g.neighbors(v)) >= 1 for v in range(g.vertex_count)
-    )
+    return all(_incident_total(g, values, v) >= 1 for v in g.vertices())
+
+
+def _incident_total(g: WeightedGraph, values: EdgeVector, v: int) -> Fraction:
+    return sum(values[edge_key(v, u)] for u in g.neighbors(v))
 
 
 def is_half_integral(values: EdgeVector) -> bool:
@@ -226,61 +231,28 @@ def _half_support_components(g: WeightedGraph, values: EdgeVector) -> list[dict[
     components = []
     seen: set[int] = set()
     for start in sorted(adjacency):
-        if start in seen:
-            continue
-        comp: dict[int, list[int]] = {}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            comp[v] = adjacency[v]
-            for u in adjacency[v]:
-                if u not in seen:
-                    seen.add(u)
-                    queue.append(u)
-        components.append(comp)
+        if start not in seen:
+            reached = _bfs_distances(adjacency.__getitem__, start)
+            seen.update(reached)
+            components.append({v: adjacency[v] for v in reached})
     return components
+
+
+def _closed_walk(adj: dict[int, list[int]], start: int, first: int) -> list[int]:
+    """Walk from start through first back to start, leaving every other
+    vertex (all of degree two) by the edge it did not arrive on."""
+    walk = [start, first]
+    while walk[-1] != start:
+        prev, cur = walk[-2], walk[-1]
+        walk.append(next(u for u in adj[cur] if u != prev))
+    return walk
 
 
 def _cycle_walk(adj: dict[int, list[int]]) -> list[int]:
     """Closed walk of a component that is a simple cycle, starting at its
     smallest vertex toward its smallest neighbor."""
     start = min(adj)
-    walk = [start, adj[start][0]]
-    prev, cur = start, walk[1]
-    while cur != start:
-        nxt = next(u for u in adj[cur] if u != prev)
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return walk
-
-
-def _bfs_distances(adj: dict[int, list[int]], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in dist:
-                dist[u] = dist[v] + 1
-                queue.append(u)
-    return dist
-
-
-def _lex_shortest_path(adj: dict[int, list[int]], a: int, b: int) -> list[int]:
-    from_a = _bfs_distances(adj, a)
-    from_b = _bfs_distances(adj, b)
-    length = from_a[b]
-    path = [a]
-    v = a
-    for step in range(1, length + 1):
-        v = min(
-            u
-            for u in adj[v]
-            if from_a.get(u) == step and from_b.get(u) == length - step
-        )
-        path.append(v)
-    return path
+    return _closed_walk(adj, start, adj[start][0])
 
 
 def _petals(adj: dict[int, list[int]], center: int) -> list[list[int]]:
@@ -290,20 +262,11 @@ def _petals(adj: dict[int, list[int]], center: int) -> list[list[int]]:
     petals = []
     while unused:
         first = min(unused)
-        walk = [center, first]
-        prev, cur = center, first
-        while cur != center:
-            nxt = next(u for u in adj[cur] if u != prev)
-            walk.append(nxt)
-            prev, cur = cur, nxt
+        walk = _closed_walk(adj, center, first)
         unused.discard(first)
         unused.discard(walk[-2])
         petals.append(walk)
     return petals
-
-
-def _incident_total(g: WeightedGraph, values: EdgeVector, v: int) -> Fraction:
-    return Fraction(sum(values[edge_key(v, u)] for u in g.neighbors(v)))
 
 
 def _rounding_walk(g: WeightedGraph, values: EdgeVector, adj: dict[int, list[int]]) -> list[int]:
@@ -323,7 +286,7 @@ def _rounding_walk(g: WeightedGraph, values: EdgeVector, adj: dict[int, list[int
     """
     slack = sorted(v for v in adj if _incident_total(g, values, v) >= Fraction(3, 2))
     if len(slack) >= 2:
-        return _lex_shortest_path(adj, slack[0], slack[1])
+        return _lex_shortest_path(adj.__getitem__, slack[0], slack[1])
     if not slack:
         raise RuntimeError("support component has no roundable structure")
     petals = _petals(adj, slack[0])

@@ -23,7 +23,7 @@ from .covers import (
 )
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
-from .rationals import _parse_integer, parse_rational
+from .rationals import _echo, _parse_integer, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -62,7 +62,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
         try:
             v = _parse_integer(parts[0])
         except ValueError:
-            raise ValueError(f"line {line_no}: bad vertex id {parts[0]!r}") from None
+            raise ValueError(f"line {line_no}: bad vertex id {_echo(parts[0])}") from None
         if not 0 <= v < vertex_count:
             raise ValueError(f"line {line_no}: vertex {v} is out of range")
         if v in values:
@@ -70,7 +70,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
         try:
             value = parse_rational(parts[1])
         except ValueError:
-            raise ValueError(f"line {line_no}: bad rational {parts[1]!r}") from None
+            raise ValueError(f"line {line_no}: bad rational {_echo(parts[1])}") from None
         if value.numerator < 0:
             raise ValueError(f"line {line_no}: negative allocation for vertex {v}")
         values[v] = value

@@ -1,6 +1,10 @@
 """Weighted-graph arena: parsing, coalition combinatorics, bipartiteness,
 shortest odd cycles, and the bipartite doubling construction.
 
+``_bfs_distances`` and ``_lex_shortest_path`` are the package's only BFS and
+tie-broken path, over any neighbor function: the odd-cycle witness and the
+canonical rounding in ``covers`` both use them.
+
 All types are immutable values after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 """
@@ -11,11 +15,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .rationals import _parse_integer, parse_rational
+from .rationals import _echo, _parse_integer, parse_rational
 
 Edge = tuple[int, int]
+_T = TypeVar("_T")
 
 
 class GraphFormatError(ValueError):
@@ -159,7 +164,7 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
             try:
                 w = parse_rational(parts[2])
             except ValueError:
-                raise GraphFormatError("malformed", f"bad weight {parts[2]!r}", line_no) from None
+                raise GraphFormatError("malformed", f"bad weight {_echo(parts[2])}", line_no) from None
             yield u, v, w
         line_no = header_no  # the checks after the last edge are about the header
 
@@ -269,6 +274,39 @@ def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
     return BipartitenessReport(True, tuple(color), None)
 
 
+def _bfs_distances(neighbors: Callable[[_T], Iterable[_T]], source: _T) -> dict[_T, int]:
+    """Breadth-first distances from source; the keys, in visiting order,
+    are the vertices reachable from it."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        d = dist[v] + 1
+        for u in neighbors(v):
+            if u not in dist:
+                dist[u] = d
+                queue.append(u)
+    return dist
+
+
+def _lex_shortest_path(neighbors: Callable[[_T], Iterable[_T]], a: _T, b: _T) -> list[_T]:
+    """The lexicographically smallest shortest path from a to b: each step
+    takes the smallest neighbor that lies on some shortest path."""
+    from_a = _bfs_distances(neighbors, a)
+    from_b = _bfs_distances(neighbors, b)
+    length = from_a[b]
+    path = [a]
+    for step in range(1, length + 1):
+        path.append(
+            min(
+                u
+                for u in neighbors(path[-1])
+                if from_a.get(u) == step and from_b.get(u) == length - step
+            )
+        )
+    return path
+
+
 @dataclass(frozen=True)
 class OddCycleReport:
     """Shortest odd cycle length and one witness cycle.
@@ -279,26 +317,6 @@ class OddCycleReport:
 
     length: int | None
     witness: tuple[int, ...] | None
-
-
-def _parity_layers(g: WeightedGraph, start: int, start_parity: int) -> list[list[int]]:
-    """BFS distances in the parity double cover from (start, start_parity).
-
-    State (v, p) means vertex v reached by a walk of parity p; every edge
-    flips the parity, so dist[v][1] is the shortest odd walk to v.
-    """
-    dist = [[-1, -1] for _ in range(g.vertex_count)]
-    dist[start][start_parity] = 0
-    queue = deque([(start, start_parity)])
-    while queue:
-        v, p = queue.popleft()
-        d = dist[v][p] + 1
-        q = 1 - p
-        for u in g.neighbors(v):
-            if dist[u][q] == -1:
-                dist[u][q] = d
-                queue.append((u, q))
-    return dist
 
 
 def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: int) -> int | None:
@@ -335,8 +353,9 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     per start vertex (Itai and Rodeh 1978) finds the shortest odd closed
     walk through it, searching only the ball of radius about (best - 1) / 2
     where best is the shortest length found so far (L at first). The
-    witness comes from two BFS runs on the parity double cover of the chosen
-    start. A shortest odd closed walk is always a simple cycle: any repeated
+    witness is the lexicographically smallest shortest path from (s, 0) to
+    (s, 1) in the parity double cover, for the chosen start s. A shortest
+    odd closed walk is always a simple cycle: any repeated
     vertex would split it into two closed walks, one of them odd and
     strictly shorter. Ties are broken toward the lowest start vertex and
     then the lexicographically smallest vertex sequence.
@@ -352,19 +371,15 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
         if length is not None:
             best_len, best_start = length, s
 
-    forward = _parity_layers(g, best_start, 0)
-    backward = _parity_layers(g, best_start, 1)
-    walk = [best_start]
-    v = best_start
-    for step in range(1, best_len + 1):
-        parity = step % 2
-        v = min(
-            u
-            for u in g.neighbors(v)
-            if forward[u][parity] == step and backward[u][parity] == best_len - step
-        )
-        walk.append(v)
-    return OddCycleReport(best_len, tuple(walk))
+    # State (v, p) is v reached by a walk of parity p; every edge flips p.
+    # All candidates at one step share a parity, so the lexicographically
+    # smallest state path is the smallest vertex sequence.
+    def parity_neighbors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        v, p = state
+        return ((u, 1 - p) for u in g.neighbors(v))
+
+    walk = _lex_shortest_path(parity_neighbors, (best_start, 0), (best_start, 1))
+    return OddCycleReport(best_len, tuple(v for v, _ in walk))
 
 
 @dataclass(frozen=True)

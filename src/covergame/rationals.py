@@ -4,6 +4,8 @@ Weights, cover values, and allocations travel through files and JSON as
 strings like "5/2" or "3"; decimal and exponent forms are rejected so no
 floating point can leak into the pipeline. Tokens take ASCII digits and
 an optional leading "-" only: no "+", "_", whitespace or other digits.
+Each integer part of a token is read by ``int``, so it may have at most
+the interpreter's int-to-str limit of digits (4300 by default).
 """
 
 from __future__ import annotations
@@ -13,12 +15,21 @@ from fractions import Fraction
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_ECHO_LIMIT = 40
+
+
+def _echo(token: str) -> str:
+    """A bad token as error messages quote it: its repr, cut to the first
+    _ECHO_LIMIT characters and then marked with "…"."""
+    if len(token) > _ECHO_LIMIT:
+        return repr(token[:_ECHO_LIMIT]) + "…"
+    return repr(token)
 
 
 def _parse_integer(token: str) -> int:
     """Parse an integer token; raises ValueError on anything else."""
     if _INTEGER_RE.fullmatch(token) is None:
-        raise ValueError(f"not an integer literal: {token!r}")
+        raise ValueError(f"not an integer literal: {_echo(token)}")
     return int(token)
 
 
@@ -29,16 +40,24 @@ def parse_rational(token: str) -> Fraction:
     """
     match = _RATIONAL_RE.fullmatch(token)
     if match is None:
-        raise ValueError(f"not a rational literal: {token!r}")
+        raise ValueError(f"not a rational literal: {_echo(token)}")
     numerator = int(match.group(1))
     denominator = int(match.group(2)) if match.group(2) else 1
     if denominator == 0:
-        raise ValueError(f"zero denominator: {token!r}")
+        raise ValueError(f"zero denominator: {_echo(token)}")
     return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction as "p/q", or as a bare integer when q = 1."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a Fraction as "p/q", or as a bare integer when q = 1.
+
+    A part longer than the int-to-str limit is rendered exactly through
+    ``decimal``, which has no such limit.
+    """
+    p, q = value.numerator, value.denominator
+    try:
+        return str(p) if q == 1 else f"{p}/{q}"
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"

@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +130,46 @@ class TestCost:
         assert code == 1 and out == ""
         assert err == "error: argument --cap: expected a nonnegative integer, not '-1'\n"
 
+    @pytest.mark.parametrize("value", ["+5", "0_5", " 7", "\u0661\u0662", "-1"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("cover", DATA / "path3.g"), "--cap"),
+            (("allocate", DATA / "path3.g"), "--cap"),
+            (("cost", DATA / "path3.g", "--coalition", "0"), "--cap"),
+            (("verify", DATA / "triangle.g", DATA / "triangle.good.alloc"), "--oracle-vertices"),
+            (("verify", DATA / "triangle.g", DATA / "triangle.good.alloc"), "--oracle-edges"),
+        ],
+        ids=["cover", "allocate", "cost", "verify-vertices", "verify-edges"],
+    )
+    def test_numeric_flags_take_ascii_digits_only(self, capsys, argv, flag, value):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 1 and out == ""
+        assert err == f"error: argument {flag}: expected a nonnegative integer, not {value!r}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["cost", "cover"])
+    def test_results_beyond_int_str_digit_limit(self, tmp_path, capsys, command, fmt):
+        # Each weight token has 3000 digits, under the 4300-digit limit on
+        # reading; the cost 1/p + 1/q = (p + q)/(pq) has about 6000.
+        p, q = 10**2999, 3**6287
+        graph = tmp_path / "big.g"
+        graph.write_text(f"3 2\n0 1 1/{p}\n1 2 1/{q}\n")
+        extra = ("--coalition", "0,1,2") if command == "cost" else ()
+        code, out, err = run(capsys, command, graph, *extra, "--format", fmt)
+        assert (code, err) == (0, "")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{p + q}/{p * q}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        key = "cost" if command == "cost" else "weight"
+        if fmt == "json":
+            assert json.loads(out)[key] == expected
+        else:
+            assert f"\n{key}: {expected}\n" in out
+
 
 class TestVerify:
     def test_good_allocation(self, capsys):
@@ -206,6 +247,36 @@ class TestErrorsAndDeterminism:
         bad.write_text("0_1 1/2\n1 1/2\n2 1/2\n")
         code, out, err = run(capsys, "verify", DATA / "triangle.g", bad)
         assert code == 1 and out == "" and "bad vertex id '0_1'" in err
+
+    @pytest.mark.parametrize(
+        "token, graph, allocation, extra, message",
+        [
+            ("1" * 200_000, "2 1\n0 1 {}\n", None, ("--coalition", "0"),
+             "malformed: bad weight {} (line 2)"),
+            ("1" * 200_000, "2 1\n0 1 1\n", "{} 1\n1 1\n", (), "line 1: bad vertex id {}"),
+            ("x" * 200_000, "2 1\n0 1 1\n", "0 1\n1 {}\n", (), "line 2: bad rational {}"),
+            ("0,x" * 50_000, "2 1\n0 1 1\n", None, ("--coalition", "{}"),
+             "bad coalition {}; expected comma-separated vertex ids"),
+            ("9" * 200_000 + "x", "2 1\n0 1 1\n", None, ("--coalition", "0", "--cap", "{}"),
+             "argument --cap: expected a nonnegative integer, not {}"),
+        ],
+        ids=["weight", "allocation-vertex", "allocation-value", "coalition", "cap"],
+    )
+    def test_long_bad_tokens_are_cut(
+        self, tmp_path, capsys, token, graph, allocation, extra, message
+    ):
+        path = tmp_path / "long.g"
+        path.write_text(graph.format(token))
+        if allocation is not None:
+            alloc = tmp_path / "long.alloc"
+            alloc.write_text(allocation.format(token))
+            argv = ("verify", path, alloc)
+        else:
+            argv = ("cost", path, *(arg.format(token) for arg in extra))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        echo = repr(token[:40]) + "\u2026"  # the first 40 characters, then an ellipsis
+        assert err == f"error: {message.format(echo)}\n"
 
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "explode")
