@@ -108,7 +108,8 @@ def min_edge_cover_exact(
     uncovered vertex and tries its covering edges cheapest-first, pruning
     with the admissible bound sum(cheapest incident weight)/2 (each edge
     covers at most two uncovered vertices). First-found optima are kept,
-    so the result is deterministic.
+    so the result is deterministic. Too many candidates, or a search too
+    deep for the interpreter's stack, raise CapExceededError.
     """
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
@@ -142,7 +143,10 @@ def min_edge_cover_exact(
             search(uncovered - set(e), chosen, weight + g.weight(*e))
             chosen.pop()
 
-    search(frozenset(s), [], ZERO)
+    try:
+        search(frozenset(s), [], ZERO)
+    except RecursionError:  # one level per chosen edge
+        raise CapExceededError("exact search is deeper than the recursion limit") from None
     assert best_weight is not None and best_edges is not None
     values = {e: ZERO for e in g.edges}
     for e in best_edges:
@@ -300,7 +304,8 @@ def _apply_alternating_round(
     g: WeightedGraph, values: EdgeVector, walk: list[int]
 ) -> EdgeVector:
     """Shift the walk edges by alternating +-1/2 both ways and keep the
-    better result (ties by lexicographic value vector)."""
+    lexicographically smaller result: both are feasible and their weights
+    average to the input's optimal weight, so both are optimal."""
     edges = [edge_key(a, b) for a, b in zip(walk, walk[1:])]
     first_down: EdgeVector = dict(values)
     first_up: EdgeVector = dict(values)
@@ -308,15 +313,9 @@ def _apply_alternating_round(
         delta = HALF if i % 2 else -HALF
         first_down[e] += delta
         first_up[e] -= delta
-    ranked = []
-    for candidate in (first_down, first_up):
-        if not is_feasible_cover(g, candidate):
-            raise RuntimeError("alternating rounding broke cover feasibility")
-        ranked.append(
-            (cover_weight(g, candidate), tuple(candidate[e] for e in g.edges), candidate)
-        )
-    ranked.sort(key=lambda item: (item[0], item[1]))
-    return ranked[0][2]
+    if not (is_feasible_cover(g, first_down) and is_feasible_cover(g, first_up)):
+        raise RuntimeError("alternating rounding broke cover feasibility")
+    return min(first_down, first_up, key=lambda x: [x[e] for e in g.edges])
 
 
 def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
@@ -324,9 +323,9 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
     a disjoint union of vertex-disjoint odd cycles.
 
     Each pass finds a support component that is not a simple odd cycle,
-    rounds an even cycle or a slack-to-slack walk in it, and keeps
-    whichever of the two alternating shifts does not increase the weight
-    (their weights average to the current one, so the kept vector stays
+    rounds an even cycle or a slack-to-slack walk in it, and keeps the
+    lexicographically smaller of the two alternating shifts (both are
+    feasible and their weights average to the current one, so both stay
     optimal). Every pass makes at least one more coordinate integral,
     which bounds the number of passes by the edge count.
     """

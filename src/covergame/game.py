@@ -64,7 +64,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
         except ValueError:
             raise ValueError(f"line {line_no}: bad vertex id {_echo(parts[0])}") from None
         if not 0 <= v < vertex_count:
-            raise ValueError(f"line {line_no}: vertex {v} is out of range")
+            raise ValueError(f"line {line_no}: vertex {_echo(v)} is out of range")
         if v in values:
             raise ValueError(f"line {line_no}: vertex {v} appears twice")
         try:

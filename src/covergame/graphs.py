@@ -1,9 +1,10 @@
 """Weighted-graph arena: parsing, coalition combinatorics, bipartiteness,
 shortest odd cycles, and the bipartite doubling construction.
 
-``_bfs_distances`` and ``_lex_shortest_path`` are the package's only BFS and
-tie-broken path, over any neighbor function: the odd-cycle witness and the
-canonical rounding in ``covers`` both use them.
+``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS and
+one tie-broken path: the two-coloring, the odd-walk witnesses and the
+canonical rounding in ``covers`` all use them. The one other traversal is
+``_odd_closed_walk_through``, the truncated search for odd-cycle lengths.
 
 All types are immutable values after construction and every operation is a
 pure function, so everything here is safe to share across threads.
@@ -60,16 +61,19 @@ class WeightedGraph:
         weight: dict[Edge, Fraction] = {}
         for u, v, w in weighted_edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise GraphFormatError("vertex-range", f"edge ({u}, {v}) is out of range")
+                message = f"edge ({_echo(u)}, {_echo(v)}) is out of range"
+                raise GraphFormatError("vertex-range", message)
             if u == v:
-                raise GraphFormatError("loop", f"loop at vertex {u}")
+                raise GraphFormatError("loop", f"loop at vertex {_echo(u)}")
             e = edge_key(u, v)
             if e in weight:
-                raise GraphFormatError("duplicate-edge", f"edge {e[0]}-{e[1]} appears twice")
+                message = f"edge {_echo(e[0])}-{_echo(e[1])} appears twice"
+                raise GraphFormatError("duplicate-edge", message)
             if type(w) is not Fraction:
                 w = Fraction(w)
             if w.numerator < 0:
-                raise GraphFormatError("negative-weight", f"edge {e[0]}-{e[1]} has weight {w}")
+                message = f"edge {_echo(e[0])}-{_echo(e[1])} has weight {_echo(w)}"
+                raise GraphFormatError("negative-weight", message)
             weight[e] = w
         # Checked on the O(m) endpoint set before anything of size n exists:
         # a header with n > 2m is rejected without allocating n slots.
@@ -188,7 +192,7 @@ def coalition(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:
         raise ValueError("coalition must be nonempty")
     for v in s:
         if not (0 <= v < g.vertex_count):
-            raise ValueError(f"coalition member {v} is not a vertex")
+            raise ValueError(f"coalition member {_echo(v)} is not a vertex")
     return s
 
 
@@ -231,49 +235,6 @@ class BipartitenessReport:
     odd_closed_walk: tuple[int, ...] | None
 
 
-def _odd_walk(parent: list[int], depth: list[int], v: int, u: int) -> tuple[int, ...]:
-    # Distinct BFS-tree paths from v and u meet at their lowest common
-    # ancestor; closing with the edge u-v gives an odd closed walk.
-    path_v, path_u = [v], [u]
-    a, b = v, u
-    while depth[a] > depth[b]:
-        a = parent[a]
-        path_v.append(a)
-    while depth[b] > depth[a]:
-        b = parent[b]
-        path_u.append(b)
-    while a != b:
-        a = parent[a]
-        path_v.append(a)
-        b = parent[b]
-        path_u.append(b)
-    return tuple(path_v + path_u[-2::-1] + [v])
-
-
-def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
-    """Two-color the graph or exhibit an odd closed walk."""
-    n = g.vertex_count
-    color = [-1] * n
-    parent = [-1] * n
-    depth = [0] * n
-    for root in range(n):
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in g.neighbors(v):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    parent[u] = v
-                    depth[u] = depth[v] + 1
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return BipartitenessReport(False, None, _odd_walk(parent, depth, v, u))
-    return BipartitenessReport(True, tuple(color), None)
-
-
 def _bfs_distances(neighbors: Callable[[_T], Iterable[_T]], source: _T) -> dict[_T, int]:
     """Breadth-first distances from source; the keys, in visiting order,
     are the vertices reachable from it."""
@@ -290,21 +251,49 @@ def _bfs_distances(neighbors: Callable[[_T], Iterable[_T]], source: _T) -> dict[
 
 
 def _lex_shortest_path(neighbors: Callable[[_T], Iterable[_T]], a: _T, b: _T) -> list[_T]:
-    """The lexicographically smallest shortest path from a to b: each step
-    takes the smallest neighbor that lies on some shortest path."""
-    from_a = _bfs_distances(neighbors, a)
-    from_b = _bfs_distances(neighbors, b)
-    length = from_a[b]
+    """The lexicographically smallest shortest path from a to b over a
+    symmetric neighbor function: each step takes the smallest neighbor one
+    step closer to b. Such a neighbor is also one step farther from a, so
+    it lies on a shortest path."""
+    to_b = _bfs_distances(neighbors, b)
     path = [a]
-    for step in range(1, length + 1):
-        path.append(
-            min(
-                u
-                for u in neighbors(path[-1])
-                if from_a.get(u) == step and from_b.get(u) == length - step
-            )
-        )
+    for remaining in range(to_b[a] - 1, -1, -1):
+        path.append(min(u for u in neighbors(path[-1]) if to_b.get(u) == remaining))
     return path
+
+
+def _odd_walk_through(g: WeightedGraph, s: int) -> tuple[int, ...]:
+    """The lexicographically smallest shortest odd closed walk through s, a
+    vertex of a non-bipartite component: the path from (s, 0) to (s, 1) in
+    the parity double cover, whose state (v, p) is v reached by a walk of
+    parity p. Candidates at one step share p, so the smallest state path is
+    the smallest vertex sequence."""
+
+    def parity_neighbors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
+        v, p = state
+        return ((u, 1 - p) for u in g.neighbors(v))
+
+    return tuple(v for v, _ in _lex_shortest_path(parity_neighbors, (s, 0), (s, 1)))
+
+
+def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
+    """Two-color the graph or exhibit an odd closed walk.
+
+    Each component is colored by the parity of the BFS distance from its
+    lowest vertex. The first vertex, in BFS order, with a neighbor of its
+    own color gets the witness: the shortest odd closed walk through it.
+    """
+    color = [-1] * g.vertex_count
+    for root in g.vertices():
+        if color[root] != -1:
+            continue
+        dist = _bfs_distances(g.neighbors, root)
+        for v, d in dist.items():
+            color[v] = d % 2
+        for v in dist:
+            if any(color[u] == color[v] for u in g.neighbors(v)):
+                return BipartitenessReport(False, None, _odd_walk_through(g, v))
+    return BipartitenessReport(True, tuple(color), None)
 
 
 @dataclass(frozen=True)
@@ -353,12 +342,11 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     per start vertex (Itai and Rodeh 1978) finds the shortest odd closed
     walk through it, searching only the ball of radius about (best - 1) / 2
     where best is the shortest length found so far (L at first). The
-    witness is the lexicographically smallest shortest path from (s, 0) to
-    (s, 1) in the parity double cover, for the chosen start s. A shortest
-    odd closed walk is always a simple cycle: any repeated
-    vertex would split it into two closed walks, one of them odd and
-    strictly shorter. Ties are broken toward the lowest start vertex and
-    then the lexicographically smallest vertex sequence.
+    witness is ``_odd_walk_through(g, s)`` for the chosen start s. A
+    shortest odd closed walk is always a simple cycle: any repeated vertex
+    would split it into two closed walks, one of them odd and strictly
+    shorter. Ties are broken toward the lowest start vertex and then the
+    lexicographically smallest vertex sequence.
     """
     odd_walk = is_bipartite(g).odd_closed_walk
     if odd_walk is None:
@@ -370,16 +358,7 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
         length = _odd_closed_walk_through(g, s, best_len)
         if length is not None:
             best_len, best_start = length, s
-
-    # State (v, p) is v reached by a walk of parity p; every edge flips p.
-    # All candidates at one step share a parity, so the lexicographically
-    # smallest state path is the smallest vertex sequence.
-    def parity_neighbors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
-        v, p = state
-        return ((u, 1 - p) for u in g.neighbors(v))
-
-    walk = _lex_shortest_path(parity_neighbors, (best_start, 0), (best_start, 1))
-    return OddCycleReport(best_len, tuple(v for v, _ in walk))
+    return OddCycleReport(best_len, _odd_walk_through(g, best_start))
 
 
 @dataclass(frozen=True)

@@ -18,12 +18,16 @@ _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _ECHO_LIMIT = 40
 
 
-def _echo(token: str) -> str:
-    """A bad token as error messages quote it: its repr, cut to the first
-    _ECHO_LIMIT characters and then marked with "…"."""
+def _echo(token: str | int | Fraction) -> str:
+    """A token as error messages quote it: a bad text token by its repr, a
+    parsed number by its digits, cut to the first _ECHO_LIMIT characters
+    and then marked with "…"."""
+    quote = repr
+    if not isinstance(token, str):
+        token, quote = format_rational(Fraction(token)), str
     if len(token) > _ECHO_LIMIT:
-        return repr(token[:_ECHO_LIMIT]) + "…"
-    return repr(token)
+        return quote(token[:_ECHO_LIMIT]) + "…"
+    return quote(token)
 
 
 def _parse_integer(token: str) -> int:

@@ -27,6 +27,15 @@ def cycle_edges(k: int, first: int = 0) -> list[tuple[int, int, Fraction]]:
     return [(first + i, first + (i + 1) % k, Fraction(1)) for i in range(k)]
 
 
+def disjoint_union(*graphs: WeightedGraph) -> WeightedGraph:
+    """The graphs side by side, each one's ids shifted past those before it."""
+    edges, offset = [], 0
+    for g in graphs:
+        edges += [(u + offset, v + offset, g.weight(u, v)) for u, v in g.edges]
+        offset += g.vertex_count
+    return WeightedGraph(offset, edges)
+
+
 def path_graph(weights) -> WeightedGraph:
     ws = [Fraction(w) for w in weights]
     return WeightedGraph(len(ws) + 1, [(i, i + 1, w) for i, w in enumerate(ws)])

@@ -278,6 +278,54 @@ class TestErrorsAndDeterminism:
         echo = repr(token[:40]) + "\u2026"  # the first 40 characters, then an ellipsis
         assert err == f"error: {message.format(echo)}\n"
 
+    @pytest.mark.parametrize(
+        "token, graph, allocation, extra, message",
+        [
+            ("9" * 4200, "2 1\n0 {} 1\n", None, ("--coalition", "0"),
+             "vertex-range: edge (0, {}) is out of range (line 2)"),
+            ("-" + "9" * 4200, "2 1\n0 1 {}\n", None, ("--coalition", "0"),
+             "negative-weight: edge 0-1 has weight {} (line 2)"),
+            ("9" * 4200, "1" + "0" * 4200 + " 1\n{0} {0} 1\n", None, ("--coalition", "0"),
+             "loop: loop at vertex {} (line 2)"),
+            ("9" * 4200, "1" + "0" * 4200 + " 2\n0 {0} 1\n0 {0} 1\n", None, ("--coalition", "0"),
+             "duplicate-edge: edge 0-{} appears twice (line 3)"),
+            ("9" * 4200, "2 1\n0 1 1\n", "0 1\n{} 1\n", (), "line 2: vertex {} is out of range"),
+            ("9" * 4200, "2 1\n0 1 1\n", None, ("--coalition", "0,{}"),
+             "coalition member {} is not a vertex"),
+        ],
+        ids=["vertex-range", "negative-weight", "loop", "duplicate-edge", "allocation-vertex",
+             "coalition-member"],
+    )
+    def test_long_parsed_numbers_are_cut(
+        self, tmp_path, capsys, token, graph, allocation, extra, message
+    ):
+        # Every token is under the 4300-digit limit, so it parses; the
+        # message repeats the number, cut like a bad token but unquoted.
+        path = tmp_path / "long.g"
+        path.write_text(graph.format(token))
+        if allocation is not None:
+            alloc = tmp_path / "long.alloc"
+            alloc.write_text(allocation.format(token))
+            argv = ("verify", path, alloc)
+        else:
+            argv = ("cost", path, *(arg.format(token) for arg in extra))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        echo = token[:40] + "\u2026"  # the first 40 characters, then an ellipsis
+        assert err == f"error: {message.format(echo)}\n"
+
+    @pytest.mark.parametrize("command", ["cover", "cost"])
+    def test_search_deeper_than_recursion_limit_exits_2(self, tmp_path, capsys, command):
+        # The exact search recurses once per chosen edge, well over the
+        # default limit of 1000 levels on a 2500-vertex unit path.
+        n = 2500
+        path = tmp_path / "path.g"
+        path.write_text(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1} 1\n" for i in range(n - 1)))
+        extra = ("--coalition", ",".join(map(str, range(n)))) if command == "cost" else ()
+        code, out, err = run(capsys, command, path, *extra, "--cap", "100000")
+        assert (code, out) == (2, "")
+        assert err == "error: exact search is deeper than the recursion limit\n"
+
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "explode")
         assert code == 1

@@ -10,9 +10,11 @@ import pytest
 from helpers import (
     cycle_edges,
     cycle_graph,
+    disjoint_union,
     double_cover_odd_cycle,
     grid_edges,
     path_graph,
+    random_bipartite_graph,
     random_graph,
     random_nonbipartite_graph,
     star_graph,
@@ -248,6 +250,33 @@ class TestBipartiteness:
                 assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
                 assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
 
+    def test_odd_component_after_bipartite_one(self):
+        # The witness lies in the second component, the first non-bipartite one.
+        rng = random.Random(31)
+        for _ in range(40):
+            first, second = random_bipartite_graph(rng), random_nonbipartite_graph(rng)
+            g = disjoint_union(first, second, random_graph(rng))
+            report = is_bipartite(g)
+            assert not report.bipartite and report.coloring is None
+            walk = report.odd_closed_walk
+            assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
+            assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+            offset = first.vertex_count
+            assert all(offset <= v < offset + second.vertex_count for v in walk)
+
+    def test_bipartite_unions_are_properly_colored(self):
+        rng = random.Random(37)
+        for _ in range(40):
+            parts = [random_bipartite_graph(rng) for _ in range(rng.randint(2, 4))]
+            parts.append(cycle_graph(2 * rng.randint(2, 5)))
+            rng.shuffle(parts)
+            g = disjoint_union(*parts)
+            report = is_bipartite(g)
+            assert report.bipartite and report.odd_closed_walk is None
+            assert len(report.coloring) == g.vertex_count
+            assert set(report.coloring) <= {0, 1}
+            assert all(report.coloring[u] != report.coloring[v] for u, v in g.edges)
+
 
 class TestShortestOddCycle:
     def test_triangle(self):
@@ -293,6 +322,20 @@ class TestShortestOddCycle:
                 assert walk[0] == walk[-1]
                 assert len(set(walk[:-1])) == report.length
                 assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+    def test_disjoint_unions_match_enumeration_oracle(self):
+        # The random unions have at most 8 vertices, within the oracle's reach;
+        # the fixed ones hold a short odd cycle, where the oracle stops.
+        rng = random.Random(41)
+        shapes = [(3, 5), (5, 3), (4, 4), (2, 3, 3), (3, 2, 3), (3, 3, 2)]
+        graphs = [disjoint_union(*(random_graph(rng, max_vertices=k) for k in rng.choice(shapes)))
+                  for _ in range(60)]
+        graphs += [disjoint_union(cycle_graph(4), cycle_graph(5)),
+                   disjoint_union(path_graph([1]), cycle_graph(5), triangle())]
+        for g in graphs:
+            report = shortest_odd_cycle(g)
+            assert report.length == enumerate_shortest_odd_cycle(g)
+            assert report == double_cover_odd_cycle(g)
 
     def test_matches_double_cover_sweep(self):
         # The full parity-double-cover sweep from every vertex is the
