@@ -17,9 +17,12 @@ from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key, is_b
 from .graphs import _bfs_distances, _lex_shortest_path  # the shared traversal
 from .rationals import format_rational
 
+# Every half-integral entry this module builds is one of these three
+# objects, so a vector holds no Fraction of its own per edge.
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+_SHARED = {x: x for x in (ZERO, HALF, ONE)}
 
 EdgeVector = dict[Edge, Fraction]
 
@@ -78,10 +81,16 @@ def is_half_integral(values: EdgeVector) -> bool:
     return all(x in (ZERO, HALF, ONE) for x in values.values())
 
 
+def _shared(x: Fraction) -> Fraction:
+    """The module constant equal to x when there is one, else x itself."""
+    return _SHARED.get(x, x)
+
+
 def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
-    """The vector in Fractions. Raises ValueError unless it gives every edge
-    a value in {0, 1/2, 1} and covers every vertex."""
-    x: EdgeVector = {e: Fraction(v) for e, v in values.items()}
+    """The vector in Fractions, keeping the caller's Fraction objects.
+    Raises ValueError unless it gives every edge a value in {0, 1/2, 1}
+    and covers every vertex."""
+    x: EdgeVector = {e: v if type(v) is Fraction else Fraction(v) for e, v in values.items()}
     if set(x) != set(g.edges):
         raise ValueError("vector must assign a value to every edge of the graph")
     if not is_half_integral(x):
@@ -171,7 +180,7 @@ def _integral_lp_cover(g: WeightedGraph) -> tuple[EdgeVector, Fraction]:
         x = primal.values[j]
         if x != 0 and x != 1:
             raise RuntimeError(f"basic optimum is not 0/1 on a bipartite graph (edge {e}: {x})")
-        values[e] = x
+        values[e] = ONE if x else ZERO
     return values, primal.objective_value
 
 
@@ -199,6 +208,9 @@ def half_integral_cover(
     there could mix two different minimum covers of the two copies and
     leave spurious 1/2 entries. The weight always equals the optimum of
     the fractional covering LP, certified by an equal-total dual witness.
+    Every value is one of the shared constants ``ZERO``, ``HALF`` and
+    ``ONE``, and so is every value that ``canonicalize_to_odd_cycles``
+    rounds.
     """
     if is_bipartite(g).bipartite:
         values, weight = _integral_lp_cover(g)
@@ -208,7 +220,7 @@ def half_integral_cover(
         values = {}
         for e in g.edges:
             e1, e2 = doubled.doubled_pair(e)
-            values[e] = (doubled_values[e1] + doubled_values[e2]) / 2
+            values[e] = _shared((doubled_values[e1] + doubled_values[e2]) / 2)
         weight = cover_weight(g, values)
         if 2 * weight != doubled_weight:
             raise RuntimeError("averaged cover weight disagrees with the doubled cover")
@@ -311,8 +323,8 @@ def _apply_alternating_round(
     first_up: EdgeVector = dict(values)
     for i, e in enumerate(edges):
         delta = HALF if i % 2 else -HALF
-        first_down[e] += delta
-        first_up[e] -= delta
+        first_down[e] = _shared(first_down[e] + delta)
+        first_up[e] = _shared(first_up[e] - delta)
     if not (is_feasible_cover(g, first_down) and is_feasible_cover(g, first_up)):
         raise RuntimeError("alternating rounding broke cover feasibility")
     return min(first_down, first_up, key=lambda x: [x[e] for e in g.edges])

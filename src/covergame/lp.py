@@ -1,14 +1,16 @@
 """Exact rational linear programming.
 
-A dense two-phase tableau simplex over ``fractions.Fraction`` with Bland's
-anti-cycling rule. Instances here are desk-scale, so exactness and
-determinism are worth far more than sparse performance: the same input
+A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
+anti-cycling rule. Exactness and determinism come first: the same input
 always takes the same pivot path and yields the same basic optimal
-solution. Constraints are ">=" or "<=" only, so every row owns one slack
-column, and the optimal dual is read off the final reduced costs of those
-columns. Every optimum is returned with its dual and certified by exact
-equality (there is no epsilon anywhere in this module): both are feasible
-and their objectives are equal, which proves both optimal.
+solution. The tableau is a list of dense rows, but a pivot reads and
+writes only the nonzero entries of the pivot row in each row it changes,
+which on the sparse covering and packing LPs of graphs is a small part of
+the tableau. Constraints are ">=" or "<=" only, so every row owns one
+slack column, and the optimal dual is read off the final reduced costs of
+those columns. Every optimum is returned with its dual and certified by
+exact equality (there is no epsilon anywhere in this module): both are
+feasible and their objectives are equal, which proves both optimal.
 """
 
 from __future__ import annotations
@@ -85,20 +87,26 @@ def _pivot(
     row: int,
     col: int,
 ) -> None:
+    # Row i becomes r_i - r_i[col] * prow, which leaves r_i[k] as it is
+    # wherever prow[k] is zero, so only the pivot row's nonzero positions
+    # are touched. Rows are updated in place.
     prow = tableau[row]
     piv = prow[col]
+    support = [k for k, a in enumerate(prow) if a]
     if piv != 1:
-        prow = tableau[row] = [a / piv for a in prow]
+        for k in support:
+            prow[k] /= piv
+    entries = [(k, prow[k]) for k in support]
     for i, r in enumerate(tableau):
-        if i == row:
-            continue
         f = r[col]
-        if f:
-            tableau[i] = [a - f * b for a, b in zip(r, prow)]
+        if f and i != row:
+            for k, b in entries:
+                r[k] -= f * b
     if z is not None:
         f = z[col]
         if f:
-            z[:] = [a - f * b for a, b in zip(z, prow)]
+            for k, b in entries:
+                z[k] -= f * b
     basis[row] = col
 
 

@@ -6,7 +6,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
-from covergame import OddCycleReport, WeightedGraph, is_bipartite
+from covergame import LinearProgram, LpSolution, OddCycleReport, WeightedGraph, is_bipartite
 
 
 def cycle_graph(k: int, weight=Fraction(1)) -> WeightedGraph:
@@ -193,3 +193,85 @@ def double_cover_odd_cycle(g: WeightedGraph) -> OddCycleReport:
             if forward[u][parity] == step and backward[u][parity] == best_len - step
         ))
     return OddCycleReport(best_len, tuple(walk))
+
+
+def dense_solve(lp: LinearProgram, trace=None) -> LpSolution:
+    """Reference simplex: the same two-phase tableau and Bland's rule as
+    ``covergame.lp.solve``, but every pivot rebuilds each changed row in
+    full, zeros included, and nothing is certified. Writes the same trace
+    lines as ``solve``."""
+    n, m = len(lp.objective), len(lp.constraints)
+    minimize = lp.sense == "min"
+    zero, one = Fraction(0), Fraction(1)
+
+    def pivot(tableau, basis, z, row, col):
+        prow = tableau[row] = [a / tableau[row][col] for a in tableau[row]]
+        for i, r in enumerate(tableau):
+            if i != row and r[col]:
+                tableau[i] = [a - r[col] * b for a, b in zip(r, prow)]
+        if z is not None and z[col]:
+            z[:] = [a - z[col] * b for a, b in zip(z, prow)]
+        basis[row] = col
+
+    def reduced_costs(cost, tableau, basis):
+        z = list(cost) + [zero]
+        for row, b in zip(tableau, basis):
+            if cost[b]:
+                z = [a - cost[b] * r for a, r in zip(z, row)]
+        return z
+
+    def iterate(tableau, basis, z, phase):
+        while True:
+            col = next((j for j in range(len(z) - 1) if z[j] < 0), None)
+            if col is None:
+                if trace:
+                    trace.write(f"phase {phase}: optimal\n")
+                return "optimal"
+            rows = [i for i, r in enumerate(tableau) if r[col] > 0]
+            if not rows:
+                if trace:
+                    trace.write(f"phase {phase}: unbounded in column {col}\n")
+                return "unbounded"
+            row = min(rows, key=lambda i: (tableau[i][-1] / tableau[i][col], basis[i]))
+            if trace:
+                trace.write(f"phase {phase}: x{col} enters, x{basis[row]} leaves\n")
+            pivot(tableau, basis, z, row, col)
+
+    ge = [(con.relation == ">=") == (con.rhs >= 0) for con in lp.constraints]
+    art_start = n + m
+    width = art_start + sum(ge) + 1
+    tableau, basis = [], []
+    for i, con in enumerate(lp.constraints):
+        sign = -1 if con.rhs < 0 else 1
+        row = [sign * Fraction(a) for a in con.coeffs] + [zero] * (width - n - 1)
+        row.append(sign * Fraction(con.rhs))
+        row[n + i] = -one if ge[i] else one
+        basis.append(n + i)
+        if ge[i]:
+            basis[i] = art_start + sum(ge[:i])
+            row[basis[i]] = one
+        tableau.append(row)
+
+    if any(ge):
+        z = reduced_costs([zero] * art_start + [one] * sum(ge), tableau, basis)
+        iterate(tableau, basis, z, phase=1)
+        if z[-1] != 0:
+            return LpSolution("infeasible", None, None)
+        for i in range(m):
+            if basis[i] >= art_start:
+                pivot(tableau, basis, None, i, next(j for j in range(art_start) if tableau[i][j]))
+        tableau = [row[:art_start] + row[-1:] for row in tableau]
+
+    cost = [Fraction(c) if minimize else -Fraction(c) for c in lp.objective] + [zero] * m
+    z = reduced_costs(cost, tableau, basis)
+    if iterate(tableau, basis, z, phase=2) == "unbounded":
+        return LpSolution("unbounded", None, None)
+    values = [zero] * n
+    for row, b in zip(tableau, basis):
+        if b < n:
+            values[b] = row[-1]
+    duals = tuple(
+        z[n + i] if minimize == (con.relation == ">=") else -z[n + i]
+        for i, con in enumerate(lp.constraints)
+    )
+    return LpSolution("optimal", tuple(values), -z[-1] if minimize else z[-1], duals)

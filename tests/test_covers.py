@@ -6,7 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import cycle_graph, path_graph, random_bipartite_graph, random_graph, star_graph, triangle
+from helpers import (
+    cycle_graph,
+    path_graph,
+    random_bipartite_graph,
+    random_graph,
+    random_nonbipartite_graph,
+    star_graph,
+    triangle,
+)
 
 from covergame import (
     CapExceededError,
@@ -24,6 +32,7 @@ from covergame import (
     shortest_odd_cycle,
     solve,
 )
+from covergame import covers
 
 F = Fraction
 HALF = F(1, 2)
@@ -272,3 +281,48 @@ class TestCanonicalization:
         x = {e: HALF for e in g.edges}
         with pytest.raises(ValueError):
             fractional_support_cycles(g, x)
+
+
+class TestSharedConstants:
+    SHARED = (covers.ZERO, covers.HALF, covers.ONE)
+
+    def assert_shared(self, values):
+        assert all(any(x is c for c in self.SHARED) for x in values.values()), values
+
+    def test_cover_entries_are_the_module_constants(self):
+        # Both branches: the direct LP on bipartite graphs and the averaged
+        # copies of the bipartite double otherwise.
+        rng = random.Random(61)
+        graphs = [random_bipartite_graph(rng) for _ in range(15)]
+        graphs += [random_nonbipartite_graph(rng, max_vertices=9, max_extra_edges=4) for _ in range(30)]
+        averaged = 0
+        for g in graphs:
+            cover = half_integral_cover(g)
+            self.assert_shared(cover.values)
+            self.assert_shared(canonicalize_to_odd_cycles(g, cover.values))
+            averaged += HALF in cover.values.values()
+        assert averaged  # the doubled branch made some 1/2 entries
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            cycle_graph(4),
+            cycle_graph(6),
+            WeightedGraph(5, [(0, 1, 1), (0, 2, 1), (1, 2, 2), (0, 3, 1), (0, 4, 1), (3, 4, 2)]),
+            WeightedGraph(4, [(0, 1, 1), (0, 2, 1), (1, 2, 0), (1, 3, 1), (2, 3, 1)]),
+        ],
+        ids=["C4", "C6", "flower", "shared-edge"],
+    )
+    def test_rounded_entries_are_the_module_constants(self, g):
+        x = {e: covers.HALF for e in g.edges}  # optimal on each of these graphs
+        canonical = canonicalize_to_odd_cycles(g, x)
+        assert canonical != x  # the alternating shifts ran
+        self.assert_shared(canonical)
+
+    def test_validation_keeps_the_callers_fractions(self):
+        g = triangle()
+        values = {e: F(1, 2) for e in g.edges}
+        validated = covers._validated_half_integral_cover(g, values)
+        assert all(validated[e] is values[e] for e in g.edges)
+        g = path_graph([1])
+        assert covers._validated_half_integral_cover(g, {(0, 1): 1}) == {(0, 1): covers.ONE}

@@ -1,11 +1,21 @@
 """Exact simplex solver and the covering/packing LP builders."""
 
+import copy
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import cycle_graph, path_graph, random_bipartite_graph, random_graph, star_graph, triangle
+from helpers import (
+    cycle_graph,
+    dense_solve,
+    path_graph,
+    random_bipartite_graph,
+    random_graph,
+    star_graph,
+    triangle,
+)
 
 from covergame import (
     Constraint,
@@ -13,8 +23,10 @@ from covergame import (
     brute_fractional_optimum,
     check_core_dual,
     cover_weight,
+    double_graph,
     dual_packing_lp,
     fractional_cover_lp,
+    is_bipartite,
     is_feasible_cover,
     solve,
 )
@@ -282,3 +294,80 @@ class TestDualCertificate:
             for lp in (fractional_cover_lp(g), dual_packing_lp(g)):
                 with pytest.raises(RuntimeError):
                     solve(lp)
+
+
+# Weight families of the graph LPs: small rationals, 6-digit denominators,
+# and zeros with many ties.
+WEIGHT_FAMILIES = (
+    dict(max_numerator=20, max_denominator=5),
+    dict(max_numerator=999_999, max_denominator=999_999),
+    dict(max_numerator=3, max_denominator=2, min_numerator=0),
+)
+
+
+def graph_lps(rng, count):
+    """The covering and packing LPs of random graphs of at most 10
+    vertices, and the covering LP of the bipartite double of each
+    non-bipartite one, labelled by family."""
+    for k in range(count):
+        g = random_graph(rng, max_vertices=10, max_extra_edges=5, **WEIGHT_FAMILIES[k % 3])
+        yield "cover", fractional_cover_lp(g)
+        yield "packing", dual_packing_lp(g)
+        if not is_bipartite(g).bipartite:
+            yield "doubled-cover", fractional_cover_lp(double_graph(g).graph)
+
+
+def random_lp(rng):
+    """A small LP with mixed sense, relations and signs, sparse rows and
+    possibly negative right-hand sides; often infeasible or unbounded."""
+    n, m = rng.randint(1, 6), rng.randint(1, 6)
+
+    def coeff():
+        return F(rng.choice((0, 0, 0, 1, -1, 2, -3)), rng.choice((1, 1, 2, 3)))
+
+    def rhs():
+        return F(rng.randint(-5, 8), rng.randint(1, 4))
+
+    constraints = tuple(
+        Constraint(tuple(coeff() for _ in range(n)), rng.choice((">=", "<=")), rhs()) for _ in range(m)
+    )
+    return LinearProgram(rng.choice(("min", "max")), tuple(coeff() for _ in range(n)), constraints)
+
+
+def lp_corpus():
+    rng = random.Random(53)
+    yield from graph_lps(rng, 150)
+    for _ in range(450):
+        yield "random", random_lp(rng)
+
+
+def solved_with_trace(solver, lp):
+    trace = io.StringIO()
+    return solver(lp, trace=trace), trace.getvalue()
+
+
+class TestSparsePivot:
+    def test_matches_dense_reference(self):
+        # The sparse pivot changes only entries that the dense pivot would
+        # change, by the same arithmetic, so every choice of Bland's rule
+        # and every number is the same.
+        families, statuses = Counter(), Counter()
+        for index, (family, lp) in enumerate(lp_corpus()):
+            sol, trace = solved_with_trace(solve, lp)
+            ref, ref_trace = solved_with_trace(dense_solve, lp)
+            assert (sol, trace) == (ref, ref_trace), f"LP {index} ({family}) differs"
+            families[family] += 1
+            statuses[sol.status] += 1
+        assert sum(families.values()) >= 800 and min(families.values()) >= 100, families
+        assert statuses["infeasible"] >= 20 and statuses["unbounded"] >= 20, statuses
+
+    def test_leaves_its_program_unchanged(self):
+        # Rows are updated in place, so the tableau must never share a list
+        # with the program; two solves of one program must agree.
+        rng = random.Random(59)
+        lps = [lp for _, lp in graph_lps(rng, 12)] + [random_lp(rng) for _ in range(30)]
+        for lp in lps:
+            before = copy.deepcopy(lp)
+            first = solved_with_trace(solve, lp)
+            assert lp == before
+            assert solved_with_trace(solve, lp) == first
