@@ -7,12 +7,14 @@ identical inputs produce byte-identical output.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),
-4 internal error (a computed result failed its own certificate).
+4 internal error (a computed result failed its own certificate), 141 stdout
+closed before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -77,14 +79,12 @@ def _certificate_lines(cert: CoverCertificate, label: str) -> list[str]:
     return lines
 
 
-def _cmd_cover(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_cover(g, args) -> tuple[int, dict, list[str]]:
     cert = min_edge_cover_exact(g, max_candidate_edges=args.cap)
     return 0, cert.to_json_dict(), _certificate_lines(cert, "cover")
 
 
-def _cmd_frac_cover(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
     cert = half_integral_cover(g)
     if args.canonical:
         values = canonicalize_to_odd_cycles(g, cert.values)
@@ -102,8 +102,7 @@ def _cmd_frac_cover(args) -> tuple[int, dict, list[str]]:
     return 0, cert.to_json_dict(), _certificate_lines(cert, "cover")
 
 
-def _cmd_gap(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
     report = integrality_gap(g)
     payload = {
         "ell": report.ell,
@@ -125,8 +124,7 @@ def _cmd_gap(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_allocate(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
     report = allocate_alpha_core(g, max_candidate_edges=args.cap)
     payload = {
         "alpha": format_rational(report.alpha),
@@ -158,8 +156,7 @@ def _parse_members(text: str) -> list[int]:
         raise ValueError(message) from None
 
 
-def _cmd_cost(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_cost(g, args) -> tuple[int, dict, list[str]]:
     members = _parse_members(args.coalition)
     cost = coalition_cost(g, members, max_candidate_edges=args.cap)
     payload = {"coalition": sorted(set(members)), "cost": format_rational(cost)}
@@ -167,8 +164,7 @@ def _cmd_cost(args) -> tuple[int, dict, list[str]]:
     return 0, payload, lines
 
 
-def _cmd_verify(args) -> tuple[int, dict, list[str]]:
-    g = load_graph(args.graph)
+def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
     allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"), g.vertex_count)
 
     dual_ok, bad_edge = check_core_dual(g, allocation)
@@ -274,7 +270,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        code, payload, lines = args.handler(args)
+        g = load_graph(args.graph)
+        code, payload, lines = args.handler(g, args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -287,9 +284,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.format == "json":
         import json
 
-        print(json.dumps(payload, indent=2))
-    else:
+        lines = [json.dumps(payload, indent=2)]
+    try:
         print("\n".join(lines))
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader went away; the exit flush must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process killed by it
     return code
 
 

@@ -3,8 +3,10 @@ from the covering LP (through the doubling construction on non-bipartite
 graphs), the optimal packing LP behind every fractional optimum, and the
 rounding that leaves only vertex-disjoint odd cycles fractional.
 
-The rounding traverses the 1/2-valued support with the BFS and the
-lexicographic shortest path of ``graphs``."""
+The rounding has one rule for choosing a walk in the 1/2-valued support,
+in which a simple cycle is a flower of one petal, and each pass shifts
+the walk the one way that lowers its smallest edge. It traverses the
+support with the BFS and the lexicographic shortest path of ``graphs``."""
 
 from __future__ import annotations
 
@@ -254,92 +256,82 @@ def _half_support_components(g: WeightedGraph, values: EdgeVector) -> list[dict[
     return components
 
 
-def _closed_walk(adj: dict[int, list[int]], start: int, first: int) -> list[int]:
-    """Walk from start through first back to start, leaving every other
-    vertex (all of degree two) by the edge it did not arrive on."""
-    walk = [start, first]
-    while walk[-1] != start:
-        prev, cur = walk[-2], walk[-1]
-        walk.append(next(u for u in adj[cur] if u != prev))
-    return walk
-
-
-def _cycle_walk(adj: dict[int, list[int]]) -> list[int]:
-    """Closed walk of a component that is a simple cycle, starting at its
-    smallest vertex toward its smallest neighbor."""
-    start = min(adj)
-    return _closed_walk(adj, start, adj[start][0])
-
-
 def _petals(adj: dict[int, list[int]], center: int) -> list[list[int]]:
     """Cycles through the center of a component whose other vertices all
-    have degree two."""
+    have degree two: each leaves the center toward its smallest unused
+    neighbor and every other vertex by the edge it did not arrive on."""
     unused = set(adj[center])
     petals = []
     while unused:
-        first = min(unused)
-        walk = _closed_walk(adj, center, first)
-        unused.discard(first)
-        unused.discard(walk[-2])
+        walk = [center, min(unused)]
+        while walk[-1] != center:
+            walk.append(next(u for u in adj[walk[-1]] if u != walk[-2]))
+        unused -= {walk[1], walk[-2]}
         petals.append(walk)
     return petals
 
 
-def _rounding_walk(g: WeightedGraph, values: EdgeVector, adj: dict[int, list[int]]) -> list[int]:
-    """Pick a walk in a non-odd-cycle support component whose alternating
-    update keeps both rounded vectors feasible.
+def _rounding_walk(
+    g: WeightedGraph, values: EdgeVector, adj: dict[int, list[int]]
+) -> list[int] | None:
+    """A walk in a support component whose alternating update keeps the
+    cover feasible, or None exactly when the component is a simple odd
+    cycle.
 
     Open walks must start and end at "slack" vertices, those with total
-    incident value >= 3/2, because one of the two updates lowers the first
-    (and possibly last) walk edge by 1/2; interior vertices are touched by
-    two consecutive walk edges whose updates cancel. Degree-one support
+    incident value >= 3/2, because the update may lower the first (and
+    last) walk edge by 1/2; interior vertices are touched by two
+    consecutive walk edges whose updates cancel. Degree-one support
     vertices are always slack (feasibility forces a full edge next to
     their lone half edge) and so are degree->=3 vertices (three halves).
-    With fewer than two slack vertices the component is a flower of cycles
-    through its single slack vertex: an even petal rounds like an even
-    cycle, and two odd petals concatenate into an even closed walk whose
-    four end-edges at the center cancel in pairs.
+    A simple cycle is a flower of one petal around its smallest vertex;
+    any other component with fewer than two slack vertices is a flower
+    around its one slack vertex. An even petal rounds alone, and two odd
+    petals concatenate into an even closed walk whose four end-edges at
+    the center cancel in pairs.
     """
-    slack = sorted(v for v in adj if _incident_total(g, values, v) >= Fraction(3, 2))
-    if len(slack) >= 2:
-        return _lex_shortest_path(adj.__getitem__, slack[0], slack[1])
-    if not slack:
-        raise RuntimeError("support component has no roundable structure")
-    petals = _petals(adj, slack[0])
-    for walk in petals:
-        if (len(walk) - 1) % 2 == 0:
-            return walk
-    return petals[0] + petals[1][1:]
+    if all(len(nbrs) == 2 for nbrs in adj.values()):
+        center = min(adj)
+    else:
+        slack = sorted(v for v in adj if _incident_total(g, values, v) >= Fraction(3, 2))
+        if len(slack) >= 2:
+            return _lex_shortest_path(adj.__getitem__, slack[0], slack[1])
+        if not slack:
+            raise RuntimeError("support component has no roundable structure")
+        center = slack[0]
+    petals = _petals(adj, center)
+    even = [walk for walk in petals if len(walk) % 2]  # k edges, k + 1 vertices
+    if even:
+        return even[0]
+    return petals[0] + petals[1][1:] if len(petals) > 1 else None
 
 
 def _apply_alternating_round(
     g: WeightedGraph, values: EdgeVector, walk: list[int]
 ) -> EdgeVector:
-    """Shift the walk edges by alternating +-1/2 both ways and keep the
-    lexicographically smaller result: both are feasible and their weights
-    average to the input's optimal weight, so both are optimal."""
+    """Shift the walk edges by alternating -+1/2, lowering the walk's
+    smallest edge, its first in ``g.edges`` order. The walk's edges are
+    distinct, so of the two alternating shifts this is the
+    lexicographically smaller in edge order. Both are feasible and their
+    weights average to the input's optimal weight, so both are optimal."""
     edges = [edge_key(a, b) for a, b in zip(walk, walk[1:])]
-    first_down: EdgeVector = dict(values)
-    first_up: EdgeVector = dict(values)
+    lowered = edges.index(min(edges)) % 2
+    x = dict(values)
     for i, e in enumerate(edges):
-        delta = HALF if i % 2 else -HALF
-        first_down[e] = _shared(first_down[e] + delta)
-        first_up[e] = _shared(first_up[e] - delta)
-    if not (is_feasible_cover(g, first_down) and is_feasible_cover(g, first_up)):
+        x[e] = _shared(x[e] - HALF if i % 2 == lowered else x[e] + HALF)
+    if not is_feasible_cover(g, x):
         raise RuntimeError("alternating rounding broke cover feasibility")
-    return min(first_down, first_up, key=lambda x: [x[e] for e in g.edges])
+    return x
 
 
 def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
     """Round an optimal half-integral cover until its fractional support is
     a disjoint union of vertex-disjoint odd cycles.
 
-    Each pass finds a support component that is not a simple odd cycle,
-    rounds an even cycle or a slack-to-slack walk in it, and keeps the
-    lexicographically smaller of the two alternating shifts (both are
-    feasible and their weights average to the current one, so both stay
-    optimal). Every pass makes at least one more coordinate integral,
-    which bounds the number of passes by the edge count.
+    Each pass rounds the walk of the first support component, by smallest
+    vertex, that is not a simple odd cycle, keeping the optimal weight.
+    Every pass makes at least one more coordinate integral, which bounds
+    the number of passes by the edge count.
     """
     x = _validated_half_integral_cover(g, values)
     optimum = _optimal_packing(g)[1]
@@ -347,15 +339,8 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
         raise ValueError("vector is not an optimal fractional cover")
 
     for _ in range(g.edge_count + 1):
-        walk = None
-        for adj in _half_support_components(g, x):
-            if all(len(nbrs) == 2 for nbrs in adj.values()):
-                if len(adj) % 2 == 1:
-                    continue  # already a simple odd cycle
-                walk = _cycle_walk(adj)
-                break
-            walk = _rounding_walk(g, x, adj)
-            break
+        walks = (_rounding_walk(g, x, adj) for adj in _half_support_components(g, x))
+        walk = next((w for w in walks if w is not None), None)
         if walk is None:
             return x
         x = _apply_alternating_round(g, x, walk)
@@ -377,5 +362,5 @@ def fractional_support_cycles(
     for adj in _half_support_components(g, values):
         if not all(len(nbrs) == 2 for nbrs in adj.values()) or len(adj) % 2 == 0:
             raise ValueError("fractional support is not a disjoint union of odd cycles")
-        cycles.append(tuple(_cycle_walk(adj)))
+        cycles.append(tuple(_petals(adj, min(adj))[0]))
     return tuple(cycles)

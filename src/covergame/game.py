@@ -23,7 +23,7 @@ from .covers import (
 )
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
-from .rationals import _echo, _parse_integer, parse_rational
+from .rationals import _echo, _parse_integer, _significant_lines, parse_rational
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -50,12 +50,10 @@ def _numerators_denominators(values: Allocation) -> tuple[list[int], list[int]]:
 
 def parse_allocation(text: str, vertex_count: int) -> Allocation:
     """Parse an allocation file: one "v p/q" line per vertex, any order;
-    "#" comment lines and blank lines are ignored."""
+    "#" comment lines, blank lines and a leading byte-order mark are
+    ignored."""
     values: dict[int, Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in _significant_lines(text):
         parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {line_no}: expected 'vertex value'")

@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .rationals import _echo, _parse_integer, parse_rational
+from .rationals import _echo, _parse_integer, _significant_lines, parse_rational
 
 Edge = tuple[int, int]
 _T = TypeVar("_T")
@@ -118,17 +118,13 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
 
     Line 1 holds ``n m``; the next ``m`` lines hold ``u v w`` with
     0 <= u < v < n and w a nonnegative integer or "p/q" fraction. Lines
-    starting with ``#`` and blank lines are ignored. Violations raise
-    GraphFormatError with a line number and a distinct error kind.
+    starting with ``#``, blank lines and a leading byte-order mark are
+    ignored. Violations raise GraphFormatError with a line number and a
+    distinct error kind.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
-    significant: list[tuple[int, str]] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        significant.append((line_no, line))
+    significant = _significant_lines(source)
     if not significant:
         raise GraphFormatError("bad-header", "empty input")
 

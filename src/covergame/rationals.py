@@ -5,7 +5,8 @@ strings like "5/2" or "3"; decimal and exponent forms are rejected so no
 floating point can leak into the pipeline. Tokens take ASCII digits and
 an optional leading "-" only: no "+", "_", whitespace or other digits.
 Each integer part of a token is read by ``int``, so it may have at most
-the interpreter's int-to-str limit of digits (4300 by default).
+the interpreter's int-to-str limit of digits (4300 by default). Graph and
+allocation files share one reader of their numbered lines.
 """
 
 from __future__ import annotations
@@ -35,6 +36,15 @@ def _parse_integer(token: str) -> int:
     if _INTEGER_RE.fullmatch(token) is None:
         raise ValueError(f"not an integer literal: {_echo(token)}")
     return int(token)
+
+
+def _significant_lines(text: str) -> list[tuple[int, str]]:
+    """The stripped lines of a text file that are neither blank nor "#"
+    comments, with their 1-based numbers. One leading byte-order mark
+    (U+FEFF) is dropped; one anywhere else stays in its line."""
+    lines = text.removeprefix("\ufeff").splitlines()
+    numbered = ((line_no, raw.strip()) for line_no, raw in enumerate(lines, start=1))
+    return [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
 
 
 def parse_rational(token: str) -> Fraction:

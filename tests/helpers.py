@@ -275,3 +275,100 @@ def dense_solve(lp: LinearProgram, trace=None) -> LpSolution:
         for i, con in enumerate(lp.constraints)
     )
     return LpSolution("optimal", tuple(values), -z[-1] if minimize else z[-1], duals)
+
+
+def reference_canonicalize(g: WeightedGraph, values, cases=None) -> tuple[dict, tuple]:
+    """Reference rounding of a feasible half-integral cover and its odd
+    support cycles, self-contained and uncertified: each pass dispatches a
+    simple cycle to its own walk from the smallest vertex, any other
+    component that is not a simple odd cycle to a slack path or a flower,
+    builds both alternating shifts and keeps the lexicographically smaller
+    in edge order. Each pass adds one to ``cases`` (a Counter, if given)
+    under its walk kind and under which walk indices, even or odd, the
+    kept shift lowered."""
+    half, slack_total = Fraction(1, 2), Fraction(3, 2)
+    x = {e: Fraction(v) for e, v in values.items()}
+
+    def total(y, v):
+        return sum(y[(min(u, v), max(u, v))] for u in g.neighbors(v))
+
+    def components():
+        adj = {}
+        for u, v in g.edges:
+            if x[(u, v)] == half:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
+        seen, comps = set(), []
+        for start in sorted(adj):
+            if start in seen:
+                continue
+            reached, queue = {start}, deque([start])
+            while queue:
+                for u in adj[queue.popleft()]:
+                    if u not in reached:
+                        reached.add(u)
+                        queue.append(u)
+            seen |= reached
+            comps.append({v: sorted(adj[v]) for v in reached})
+        return comps
+
+    def closed_walk(adj, start, first):
+        walk = [start, first]
+        while walk[-1] != start:
+            walk.append(next(u for u in adj[walk[-1]] if u != walk[-2]))
+        return walk
+
+    def shortest_path(adj, a, b):
+        to_b, queue = {b: 0}, deque([b])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if u not in to_b:
+                    to_b[u] = to_b[v] + 1
+                    queue.append(u)
+        path = [a]
+        while path[-1] != b:
+            path.append(min(u for u in adj[path[-1]] if to_b[u] == to_b[path[-1]] - 1))
+        return path
+
+    def walk_of(adj):
+        if all(len(nbrs) == 2 for nbrs in adj.values()):
+            if len(adj) % 2 == 1:
+                return None, None
+            start = min(adj)
+            return closed_walk(adj, start, adj[start][0]), "even cycle"
+        slack = sorted(v for v in adj if total(x, v) >= slack_total)
+        if len(slack) >= 2:
+            return shortest_path(adj, slack[0], slack[1]), "slack path"
+        unused, petals = set(adj[slack[0]]), []
+        while unused:
+            petals.append(closed_walk(adj, slack[0], min(unused)))
+            unused -= {petals[-1][1], petals[-1][-2]}
+        for walk in petals:
+            if len(walk) % 2 == 1:
+                return walk, "even petal"
+        return petals[0] + petals[1][1:], "odd-petal pair"
+
+    while True:
+        walk = kind = None
+        for adj in components():
+            walk, kind = walk_of(adj)
+            if walk is not None:
+                break
+        if walk is None:
+            return x, tuple(
+                tuple(closed_walk(adj, min(adj), adj[min(adj)][0])) for adj in components()
+            )
+        edges = [(min(a, b), max(a, b)) for a, b in zip(walk, walk[1:])]
+        first_down, first_up = dict(x), dict(x)
+        for i, e in enumerate(edges):
+            delta = half if i % 2 else -half
+            first_down[e] += delta
+            first_up[e] -= delta
+        for y in (first_down, first_up):
+            if any(total(y, v) < 1 for v in g.vertices()):
+                raise AssertionError("alternating shift broke cover feasibility")
+        x = min(first_down, first_up, key=lambda y: [y[e] for e in g.edges])
+        if cases is not None:
+            cases[kind] += 1
+            cases["lowers even indices" if x is first_down else "lowers odd indices"] += 1

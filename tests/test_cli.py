@@ -1,11 +1,14 @@
 """CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import covergame
 from covergame import lp
 from covergame.cli import main
 
@@ -325,6 +328,32 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, command, path, *extra, "--cap", "100000")
         assert (code, out) == (2, "")
         assert err == "error: exact search is deeper than the recursion limit\n"
+
+    def test_leading_byte_order_marks(self, tmp_path, capsys):
+        graph, allocation = tmp_path / "bom.g", tmp_path / "bom.alloc"
+        graph.write_text((DATA / "triangle.g").read_text(), encoding="utf-8-sig")
+        allocation.write_text((DATA / "triangle.good.alloc").read_text(), encoding="utf-8-sig")
+        assert run(capsys, "verify", graph, allocation) == run(
+            capsys, "verify", DATA / "triangle.g", DATA / "triangle.good.alloc"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_141_quietly(self, fmt):
+        # The pipe's read end is closed before the child starts, so its
+        # first flush of stdout fails with EPIPE.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "covergame.cli", "gap", DATA / "triangle.g", "--format", fmt],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(Path(covergame.__file__).parents[1])},
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
 
     def test_unknown_subcommand_exits_1(self, capsys):
         code, _, err = run(capsys, "explode")

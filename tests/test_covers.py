@@ -3,6 +3,7 @@ canonicalization."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     random_bipartite_graph,
     random_graph,
     random_nonbipartite_graph,
+    reference_canonicalize,
     star_graph,
     triangle,
 )
@@ -326,3 +328,73 @@ class TestSharedConstants:
         assert all(validated[e] is values[e] for e in g.edges)
         g = path_graph([1])
         assert covers._validated_half_integral_cover(g, {(0, 1): 1}) == {(0, 1): covers.ONE}
+
+
+class TestRoundingReference:
+    """The one-rule rounding against ``reference_canonicalize``, the
+    two-shift rounding with a separate branch for simple cycles."""
+
+    @staticmethod
+    def random_cover(rng, g):
+        """A random feasible half-integral vector, mostly halves."""
+        x = {e: rng.choice((covers.ZERO, HALF, HALF, HALF, covers.ONE)) for e in g.edges}
+        for v in g.vertices():
+            while sum(x[covers.edge_key(u, v)] for u in g.neighbors(v)) < 1:
+                e = covers.edge_key(rng.choice(g.neighbors(v)), v)
+                x[e] = min(covers.ONE, x[e] + HALF)
+        return x
+
+    @staticmethod
+    def flowers_and_cycles(rng):
+        """Zero-weight unions of flowers and cycles, relabeled at random,
+        with halves on every petal and cycle edge; some cycle vertices get
+        a pendant edge of value one, which makes them slack."""
+        edges, values, n = [], {}, 0
+
+        def add(u, v, x):
+            edges.append((u, v))
+            values[(u, v)] = x
+
+        for _ in range(rng.randint(1, 3)):
+            center, n = n, n + 1
+            petals = [rng.randint(3, 6) for _ in range(rng.choice((1, 1, 2, 3)))]
+            for length in petals:
+                ring = [center] + list(range(n, n + length - 1))
+                n += length - 1
+                for a, b in zip(ring, ring[1:] + ring[:1]):
+                    add(a, b, HALF)
+            if len(petals) == 1:
+                for v in rng.sample(ring, rng.choice((0, 1, 2, 2, 3))):
+                    add(v, n, covers.ONE)
+                    n += 1
+        label = list(range(n))
+        rng.shuffle(label)
+        g = WeightedGraph(n, [(label[u], label[v], 0) for u, v in edges])
+        x = {covers.edge_key(label[u], label[v]): value for (u, v), value in values.items()}
+        return g, x
+
+    @staticmethod
+    def describe(g, x):
+        """The input of a failed case, for the assertion message."""
+        weights = [(u, v, str(g.weight(u, v))) for u, v in g.edges]
+        return f"graph {weights}, vector {[(e, str(x[e])) for e in g.edges]}"
+
+    def test_matches_reference(self):
+        rng = random.Random(67)
+        corpus = []
+        for _ in range(2000):
+            g = random_graph(rng, max_vertices=6, max_extra_edges=3, min_numerator=0, max_numerator=0)
+            corpus.append((g, self.random_cover(rng, g)))
+        corpus += [self.flowers_and_cycles(rng) for _ in range(150)]
+        for _ in range(200):
+            g = random_nonbipartite_graph(rng, max_vertices=6)
+            corpus.append((g, half_integral_cover(g, include_dual_witness=False).values))
+        cases = Counter()
+        for g, x in corpus:
+            expected, cycles = reference_canonicalize(g, x, cases)
+            canonical = canonicalize_to_odd_cycles(g, x)
+            assert canonical == expected, self.describe(g, x)
+            assert fractional_support_cycles(g, canonical) == cycles, self.describe(g, x)
+        kinds = ("even cycle", "slack path", "even petal", "odd-petal pair")
+        for kind in kinds + ("lowers even indices", "lowers odd indices"):
+            assert cases[kind] >= 20, cases

@@ -315,6 +315,17 @@ class TestAllocationFiles:
         text = "# sample\n0 1/2\n2 0\n1 5/4\n"
         assert parse_allocation(text, 3) == (HALF, F(5, 4), F(0))
 
+    def test_leading_byte_order_mark(self):
+        assert parse_allocation("\ufeff0 1/2\n2 0\n1 5/4\n", 3) == (HALF, F(5, 4), F(0))
+        assert parse_allocation("\ufeff# c\n0 1/2\n2 0\n1 5/4\n", 3) == (HALF, F(5, 4), F(0))
+
+    def test_byte_order_mark_elsewhere_is_malformed(self):
+        with pytest.raises(ValueError) as err:
+            parse_allocation("0 1/2\n\ufeff2 0\n1 5/4\n", 3)
+        assert str(err.value) == "line 2: bad vertex id '\\ufeff2'"
+        with pytest.raises(ValueError, match="line 1: bad vertex id"):
+            parse_allocation("\ufeff\ufeff0 1/2\n2 0\n1 5/4\n", 3)
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -67,6 +67,29 @@ class TestParsing:
         g = parse_graph(b"# a triangle\n\n3 3\n0 1 1\n# middle comment\n1 2 1\n0 2 1\n\n")
         assert g.edge_count == 3
 
+    def test_leading_byte_order_mark(self):
+        expected = parse_graph(TRIANGLE_TEXT)
+        for source in ("\ufeff" + TRIANGLE_TEXT, "\ufeff# c\n" + TRIANGLE_TEXT,
+                       TRIANGLE_TEXT.encode("utf-8-sig")):
+            g = parse_graph(source)
+            assert g.edges == expected.edges
+            assert all(g.weight(*e) == 1 for e in g.edges)
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("\ufeff\ufeff" + TRIANGLE_TEXT, "bad-header: expected integers 'n m' (line 1)"),
+            ("3 3\n\ufeff0 1 1\n1 2 1\n0 2 1\n",
+             "malformed: vertex ids must be integers (line 2)"),
+            ("3 3\n0 1 1\n1 2 1\n0 2 1\ufeff\n", "malformed: bad weight '1\\ufeff' (line 4)"),
+        ],
+        ids=["second-mark", "start-of-line", "end-of-line"],
+    )
+    def test_byte_order_mark_elsewhere_is_malformed(self, text, expected):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == expected
+
     @pytest.mark.parametrize(
         "source, kind",
         [
