@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: cover, frac-cover, gap, allocate, cost, verify. Every
-subcommand accepts --format text|json; rationals print as "p/q" (bare
-integer when q = 1) and all iteration upstream is deterministic, so
-identical inputs produce byte-identical output.
+Subcommands: cover, frac-cover, gap, allocate, cost, verify, one row each
+of the table (name, help text, handler) the parser is built from; each
+takes --format text|json and a graph. Rationals print as "p/q" (bare integer
+when q = 1) and all iteration upstream is deterministic, so identical inputs
+produce byte-identical output.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
@@ -40,13 +42,6 @@ from .graphs import load_graph
 from .rationals import _echo, _parse_integer, format_rational
 
 
-_CAP_HELP = "candidate-edge cap for the exact solver"
-
-
-class _UsageError(Exception):
-    pass
-
-
 def _count(text: str) -> int:
     """argparse type of every numeric flag: ASCII digits only, so a bad
     value is a usage error."""
@@ -57,11 +52,7 @@ def _count(text: str) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for budget errors
-        raise _UsageError(message)
-
-
-def _fmt_edge(e) -> str:
-    return f"{e[0]}-{e[1]}"
+        raise argparse.ArgumentError(None, message)
 
 
 def _fmt_walk(walk) -> str:
@@ -72,41 +63,40 @@ def _fmt_members(members) -> str:
     return ",".join(str(v) for v in sorted(members))
 
 
-def _certificate_lines(cert: CoverCertificate, label: str) -> list[str]:
-    lines = [f"kind: {cert.kind}", f"weight: {format_rational(cert.weight)}", f"{label}:"]
-    for e, x in cert.nonzero_entries():
-        lines.append(f"  {_fmt_edge(e)} = {format_rational(x)}")
-    return lines
+def _cover_output(cert: CoverCertificate, cycles=None) -> tuple[dict, list[str]]:
+    """The JSON payload and text lines of a cover certificate, with the
+    fractional support cycles when they are given."""
+    payload = cert.to_json_dict()
+    lines = [f"kind: {payload['kind']}", f"weight: {payload['weight']}", "cover:"]
+    lines.extend(f"  {_fmt_walk(item['edge'])} = {item['value']}" for item in payload["entries"])
+    if cycles is not None:
+        payload["fractional_cycles"] = [list(walk) for walk in cycles]
+        lines.append("fractional cycles:" if cycles else "fractional cycles: none")
+        lines.extend(f"  {_fmt_walk(walk)}" for walk in cycles)
+    return payload, lines
 
 
 def _cmd_cover(g, args) -> tuple[int, dict, list[str]]:
-    cert = min_edge_cover_exact(g, max_candidate_edges=args.cap)
-    return 0, cert.to_json_dict(), _certificate_lines(cert, "cover")
+    return 0, *_cover_output(min_edge_cover_exact(g, max_candidate_edges=args.cap))
 
 
 def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
-    cert = half_integral_cover(g)
+    cert, cycles = half_integral_cover(g), None
     if args.canonical:
-        values = canonicalize_to_odd_cycles(g, cert.values)
-        cert = CoverCertificate(cert.kind, values, cert.weight, cert.dual_witness)
-        cycles = fractional_support_cycles(g, values)
-        payload = cert.to_json_dict()
-        payload["fractional_cycles"] = [list(walk) for walk in cycles]
-        lines = _certificate_lines(cert, "cover")
-        if cycles:
-            lines.append("fractional cycles:")
-            lines.extend(f"  {_fmt_walk(walk)}" for walk in cycles)
-        else:
-            lines.append("fractional cycles: none")
-        return 0, payload, lines
-    return 0, cert.to_json_dict(), _certificate_lines(cert, "cover")
+        try:
+            cert = replace(cert, values=canonicalize_to_odd_cycles(g, cert.values))
+            cycles = fractional_support_cycles(g, cert.values)
+        except ValueError as exc:  # rejects the cover certified just above: a bug, not bad input
+            raise RuntimeError(str(exc)) from exc
+    return 0, *_cover_output(cert, cycles)
 
 
 def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
     report = integrality_gap(g)
+    rho = format_rational(report.rho)
     payload = {
         "ell": report.ell,
-        "rho": format_rational(report.rho),
+        "rho": rho,
         "cycle": None if report.cycle is None else list(report.cycle),
         "witness_weights": None
         if report.witness_weights is None
@@ -118,7 +108,7 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
     }
     lines = [
         f"ell: {'none' if report.ell is None else report.ell}",
-        f"rho: {format_rational(report.rho)}",
+        f"rho: {rho}",
         f"cycle: {'none' if report.cycle is None else _fmt_walk(report.cycle)}",
     ]
     return 0, payload, lines
@@ -126,25 +116,24 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
 
 def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
     report = allocate_alpha_core(g, max_candidate_edges=args.cap)
+    grand_cost, ratio = (
+        None if x is None else format_rational(x) for x in (report.grand_cost, report.ratio)
+    )
     payload = {
         "alpha": format_rational(report.alpha),
         "total": format_rational(report.total),
-        "grand_cost": None if report.grand_cost is None else format_rational(report.grand_cost),
-        "ratio": None if report.ratio is None else format_rational(report.ratio),
+        "grand_cost": grand_cost,
+        "ratio": ratio,
         "allocation": [format_rational(a) for a in report.allocation],
     }
     lines = [
-        f"alpha: {format_rational(report.alpha)}",
-        f"total: {format_rational(report.total)}",
-        "grand cost: unavailable (cap exceeded)"
-        if report.grand_cost is None
-        else f"grand cost: {format_rational(report.grand_cost)}",
-        "ratio: unavailable"
-        if report.ratio is None
-        else f"ratio: {format_rational(report.ratio)}",
+        f"alpha: {payload['alpha']}",
+        f"total: {payload['total']}",
+        f"grand cost: {grand_cost or 'unavailable (cap exceeded)'}",
+        f"ratio: {ratio or 'unavailable'}",
         "allocation:",
+        *(f"  {v} = {a}" for v, a in enumerate(payload["allocation"])),
     ]
-    lines.extend(f"  {v} = {format_rational(a)}" for v, a in enumerate(report.allocation))
     return 0, payload, lines
 
 
@@ -158,10 +147,10 @@ def _parse_members(text: str) -> list[int]:
 
 def _cmd_cost(g, args) -> tuple[int, dict, list[str]]:
     members = _parse_members(args.coalition)
-    cost = coalition_cost(g, members, max_candidate_edges=args.cap)
-    payload = {"coalition": sorted(set(members)), "cost": format_rational(cost)}
-    lines = [f"coalition: {_fmt_members(set(members))}", f"cost: {format_rational(cost)}"]
-    return 0, payload, lines
+    cost = format_rational(coalition_cost(g, members, max_candidate_edges=args.cap))
+    coalition = sorted(set(members))
+    lines = [f"coalition: {_fmt_members(coalition)}", f"cost: {cost}"]
+    return 0, {"coalition": coalition, "cost": cost}, lines
 
 
 def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
@@ -179,7 +168,7 @@ def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
         "oracle": None,
     }
     lines = [
-        "dual check: ok" if dual_ok else f"dual check: violated at edge {_fmt_edge(bad_edge)}",
+        "dual check: ok" if dual_ok else f"dual check: violated at edge {_fmt_walk(bad_edge)}",
         "star check: ok"
         if star_ok
         else f"star check: violated at star v={bad_star[0]} T={_fmt_members(bad_star[1])}",
@@ -210,72 +199,62 @@ def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
     return (0 if ok else 3), payload, lines
 
 
+_COMMANDS = (
+    ("cover", "integral minimum-weight edge cover", _cmd_cover),
+    ("frac-cover", "optimal half-integral edge cover", _cmd_frac_cover),
+    ("gap", "shortest odd cycle and integrality gap", _cmd_gap),
+    ("allocate", "stable allocation from the dual optimum", _cmd_allocate),
+    ("cost", "exact cost of one coalition", _cmd_cost),
+    ("verify", "check an allocation for the core property", _cmd_verify),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="covergame",
         description="Exact edge covers, integrality gaps, and stable allocations for edge cover games.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format (default: text)"
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("cover", parents=[common], help="integral minimum-weight edge cover")
-    p.add_argument("graph")
-    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
-    p.set_defaults(handler=_cmd_cover)
-
-    p = sub.add_parser("frac-cover", parents=[common], help="optimal half-integral edge cover")
-    p.add_argument("graph")
-    p.add_argument(
+    for name, help_text, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(
+            "--format", choices=("text", "json"), default="text",
+            help="output format (default: text)",
+        )
+        p.add_argument("graph")
+        p.set_defaults(handler=handler)
+    commands = sub.choices
+    commands["cost"].add_argument(
+        "--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5"
+    )
+    for name in ("cover", "allocate", "cost"):
+        commands[name].add_argument(
+            "--cap", type=_count, default=EXACT_CANDIDATE_CAP,
+            help="candidate-edge cap for the exact solver",
+        )
+    commands["frac-cover"].add_argument(
         "--canonical",
         action="store_true",
         help="round until the fractional support is a union of disjoint odd cycles",
     )
-    p.set_defaults(handler=_cmd_frac_cover)
-
-    p = sub.add_parser("gap", parents=[common], help="shortest odd cycle and integrality gap")
-    p.add_argument("graph")
-    p.set_defaults(handler=_cmd_gap)
-
-    p = sub.add_parser("allocate", parents=[common], help="stable allocation from the dual optimum")
-    p.add_argument("graph")
-    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
-    p.set_defaults(handler=_cmd_allocate)
-
-    p = sub.add_parser("cost", parents=[common], help="exact cost of one coalition")
-    p.add_argument("graph")
-    p.add_argument("--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5")
-    p.add_argument("--cap", type=_count, default=EXACT_CANDIDATE_CAP, help=_CAP_HELP)
-    p.set_defaults(handler=_cmd_cost)
-
-    p = sub.add_parser("verify", parents=[common], help="check an allocation for the core property")
-    p.add_argument("graph")
-    p.add_argument("allocation")
-    p.add_argument(
+    verify = commands["verify"]
+    verify.add_argument("allocation")
+    verify.add_argument(
         "--exhaustive", action="store_true", help="also run the all-coalitions brute-force oracle"
     )
-    p.add_argument("--oracle-vertices", type=_count, help="oracle coalition budget")
-    p.add_argument("--oracle-edges", type=_count, help="oracle cover-enumeration budget")
-    p.set_defaults(handler=_cmd_verify)
+    verify.add_argument("--oracle-vertices", type=_count, help="oracle coalition budget")
+    verify.add_argument("--oracle-edges", type=_count, help="oracle cover-enumeration budget")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        g = load_graph(args.graph)
-        code, payload, lines = args.handler(g, args)
+        args = _build_parser().parse_args(argv)
+        code, payload, lines = args.handler(load_graph(args.graph), args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
+    except (argparse.ArgumentError, OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:  # a certificate check failed: a bug, not bad input

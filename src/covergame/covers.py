@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import CapExceededError
-from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key, is_bipartite
-from .graphs import _bfs_distances, _lex_shortest_path  # the shared traversal
+from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key
+from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
 from .rationals import format_rational
 
 # Every half-integral entry this module builds is one of these three
@@ -214,7 +214,7 @@ def half_integral_cover(
     ``ONE``, and so is every value that ``canonicalize_to_odd_cycles``
     rounds.
     """
-    if is_bipartite(g).bipartite:
+    if _two_coloring(g)[1] is None:  # no conflict: bipartite
         values, weight = _integral_lp_cover(g)
     else:
         doubled = double_graph(g)

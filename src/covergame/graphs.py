@@ -12,6 +12,7 @@ pure function, so everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -137,12 +138,12 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
     except ValueError:
         raise GraphFormatError("bad-header", "expected integers 'n m'", header_no) from None
     if n <= 0 or m < 0:
-        raise GraphFormatError("bad-header", f"invalid sizes n={n}, m={m}", header_no)
+        raise GraphFormatError("bad-header", f"invalid sizes n={_echo(n)}, m={_echo(m)}", header_no)
 
     body = significant[1:]
     if len(body) != m:
         raise GraphFormatError(
-            "malformed", f"expected {m} edge lines, found {len(body)}", header_no
+            "malformed", f"expected {_echo(m)} edge lines, found {len(body)}", header_no
         )
 
     # Only the text format is checked here. The constructor checks the graph
@@ -272,13 +273,10 @@ def _odd_walk_through(g: WeightedGraph, s: int) -> tuple[int, ...]:
     return tuple(v for v, _ in _lex_shortest_path(parity_neighbors, (s, 0), (s, 1)))
 
 
-def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
-    """Two-color the graph or exhibit an odd closed walk.
-
-    Each component is colored by the parity of the BFS distance from its
-    lowest vertex. The first vertex, in BFS order, with a neighbor of its
-    own color gets the witness: the shortest odd closed walk through it.
-    """
+def _two_coloring(g: WeightedGraph) -> tuple[list[int], int | None]:
+    """Color each component by the parity of the BFS distance from its
+    lowest vertex. Returns the colors and the first vertex, in BFS order,
+    with a neighbor of its own color, or None when there is no conflict."""
     color = [-1] * g.vertex_count
     for root in g.vertices():
         if color[root] != -1:
@@ -288,8 +286,17 @@ def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
             color[v] = d % 2
         for v in dist:
             if any(color[u] == color[v] for u in g.neighbors(v)):
-                return BipartitenessReport(False, None, _odd_walk_through(g, v))
-    return BipartitenessReport(True, tuple(color), None)
+                return color, v
+    return color, None
+
+
+def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
+    """Two-color the graph or exhibit an odd closed walk: the shortest one
+    through the first conflict vertex of ``_two_coloring``."""
+    color, conflict = _two_coloring(g)
+    if conflict is None:
+        return BipartitenessReport(True, tuple(color), None)
+    return BipartitenessReport(False, None, _odd_walk_through(g, conflict))
 
 
 @dataclass(frozen=True)
@@ -304,7 +311,7 @@ class OddCycleReport:
     witness: tuple[int, ...] | None
 
 
-def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: int) -> int | None:
+def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: float) -> int | None:
     """Length of the shortest odd closed walk through s, if it is below bound.
 
     BFS in g by levels. Every edge joins equal or adjacent levels, so an odd
@@ -333,22 +340,23 @@ def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: int) -> int | None
 def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     """Length of the shortest odd cycle with a deterministic witness.
 
-    One O(|V| + |E|) two-coloring settles bipartite graphs; otherwise its
-    odd closed walk, of length L, bounds the answer. Then one truncated BFS
-    per start vertex (Itai and Rodeh 1978) finds the shortest odd closed
-    walk through it, searching only the ball of radius about (best - 1) / 2
-    where best is the shortest length found so far (L at first). The
-    witness is ``_odd_walk_through(g, s)`` for the chosen start s. A
-    shortest odd closed walk is always a simple cycle: any repeated vertex
-    would split it into two closed walks, one of them odd and strictly
-    shorter. Ties are broken toward the lowest start vertex and then the
-    lexicographically smallest vertex sequence.
+    One O(|V| + |E|) two-coloring settles bipartite graphs; otherwise the
+    shortest odd closed walk through its first conflict vertex, of length
+    L, bounds the answer. Then one truncated BFS per start vertex (Itai and
+    Rodeh 1978) finds the shortest odd closed walk through it, searching
+    only the ball of radius about (best - 1) / 2 where best is the shortest
+    length found so far (L at first). The witness is
+    ``_odd_walk_through(g, s)`` for the chosen start s. A shortest odd
+    closed walk is always a simple cycle: any repeated vertex would split it
+    into two closed walks, one of them odd and strictly shorter. Ties are
+    broken toward the lowest start vertex and then the lexicographically
+    smallest vertex sequence.
     """
-    odd_walk = is_bipartite(g).odd_closed_walk
-    if odd_walk is None:
+    conflict = _two_coloring(g)[1]
+    if conflict is None:
         return OddCycleReport(None, None)
-    # L = len(odd_walk) - 1 bounds ell, so only walks shorter than L + 1 count.
-    best_len = len(odd_walk)
+    # L bounds ell, so only walks shorter than L + 1 count.
+    best_len = _odd_closed_walk_through(g, conflict, math.inf) + 1
     best_start = -1
     for s in g.vertices():
         length = _odd_closed_walk_through(g, s, best_len)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import covergame
-from covergame import lp
+from covergame import CoverCertificate, lp
 from covergame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -62,6 +62,17 @@ class TestFracCover:
         payload = json.loads(out)
         assert payload["weight"] == "5/2"
         assert payload["fractional_cycles"] == [[0, 1, 2, 3, 4, 0]]
+
+    def test_canonical_rejecting_the_certified_cover_exits_4(self, capsys, monkeypatch):
+        # The all-ones cover is feasible but not optimal, so the rounding
+        # rejects it; the handler had certified it, so that is a bug.
+        def all_ones(g):
+            return CoverCertificate("half-integral", {e: 1 for e in g.edges}, g.edge_count)
+
+        monkeypatch.setattr("covergame.cli.half_integral_cover", all_ones)
+        code, out, err = run(capsys, "frac-cover", DATA / "triangle.g", "--canonical")
+        assert (code, out) == (4, "")
+        assert err == "error: internal: vector is not an optimal fractional cover\n"
 
 
 class TestGap:
@@ -172,6 +183,21 @@ class TestCost:
             assert json.loads(out)[key] == expected
         else:
             assert f"\n{key}: {expected}\n" in out
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "command", [None, "cover", "frac-cover", "gap", "allocate", "cost", "verify"]
+    )
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        # argparse wraps help to the COLUMNS width.
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [command, "--help"] if command else ["--help"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        name = f"covergame-{command}" if command else "covergame"
+        pinned = (DATA / "help" / f"{name}.txt").read_text(encoding="utf-8")
+        assert (exited.value.code, capsys.readouterr().out) == (0, pinned)
 
 
 class TestVerify:
@@ -295,9 +321,13 @@ class TestErrorsAndDeterminism:
             ("9" * 4200, "2 1\n0 1 1\n", "0 1\n{} 1\n", (), "line 2: vertex {} is out of range"),
             ("9" * 4200, "2 1\n0 1 1\n", None, ("--coalition", "0,{}"),
              "coalition member {} is not a vertex"),
+            ("9" * 4200, "0 {}\n", None, ("--coalition", "0"),
+             "bad-header: invalid sizes n=0, m={} (line 1)"),
+            ("9" * 4200, "2 {}\n0 1 1\n", None, ("--coalition", "0"),
+             "malformed: expected {} edge lines, found 1 (line 1)"),
         ],
         ids=["vertex-range", "negative-weight", "loop", "duplicate-edge", "allocation-vertex",
-             "coalition-member"],
+             "coalition-member", "header-sizes", "header-edge-count"],
     )
     def test_long_parsed_numbers_are_cut(
         self, tmp_path, capsys, token, graph, allocation, extra, message

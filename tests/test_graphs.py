@@ -28,6 +28,8 @@ from covergame import (
     double_graph,
     edge_key,
     edges_within,
+    graphs,
+    half_integral_cover,
     is_bipartite,
     parse_graph,
     parse_rational,
@@ -331,6 +333,19 @@ class TestShortestOddCycle:
         assert walk[0] == walk[-1] == 0
         assert len(set(walk[:-1])) == first.length
         assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+
+    def test_builds_only_the_reported_witness(self, monkeypatch):
+        # The two-coloring's conflict vertex decides bipartiteness and gives
+        # the first bound without an odd-walk witness; only the reported
+        # cycle is built as a walk.
+        walks = []
+        real = graphs._odd_walk_through
+        monkeypatch.setattr(graphs, "_odd_walk_through", lambda g, s: walks.append(s) or real(g, s))
+        g = disjoint_union(cycle_graph(4), cycle_graph(5), triangle())
+        half_integral_cover(g)
+        assert walks == []
+        assert shortest_odd_cycle(g).witness == (9, 10, 11, 9)
+        assert walks == [9]
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(13)
