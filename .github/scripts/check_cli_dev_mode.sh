@@ -1,8 +1,12 @@
 #!/usr/bin/env bash
 # Run every covergame subcommand under Python's development mode with
 # warnings as errors (-X dev -W error), in text and JSON, on the fixtures
-# in tests/data. Each run must exit with its expected code and write
-# nothing to stderr. Exits 1 on any failure. Run from the repository root:
+# in tests/data, and a few hostile inputs for each error exit code. Each
+# run must exit with its expected code. Runs that exit 0 or 3 must write
+# nothing to stderr; runs that exit 1 or 2 must write exactly one stderr
+# line that starts with "error: ", is at most 200 bytes long and holds no
+# traceback or warning. Exits 1 on any failure. Run from the repository
+# root:
 #
 #     bash .github/scripts/check_cli_dev_mode.sh
 set -u
@@ -10,16 +14,38 @@ PYTHON=${PYTHON:-python3}
 runs=0
 bad=0
 
+stderr_problem() {  # expected exit code, captured stderr
+    local want=$1 err=$2 newlines
+    if [ "$want" -eq 0 ] || [ "$want" -eq 3 ]; then
+        [ -z "$err" ] || echo "stderr is not empty"
+        return
+    fi
+    newlines=${err//[!$'\n']/}
+    if [ "${#newlines}" -ne 1 ] || [[ "$err" != *$'\n' ]]; then
+        echo "stderr is not exactly one line"
+    elif [[ "$err" != "error: "* ]]; then
+        echo "stderr does not start with 'error: '"
+    elif [ "$(printf '%s' "$err" | wc -c)" -gt 200 ]; then
+        echo "stderr is longer than 200 bytes"
+    elif [[ "$err" == *Traceback* || "$err" == *Warning* ]]; then
+        echo "stderr holds a traceback or a warning"
+    fi
+}
+
 expect() {  # expected exit code, then the covergame arguments
-    local want=$1 err code
+    local want=$1 err code problem
     shift
     for fmt in text json; do
-        err=$(PYTHONPATH=src "$PYTHON" -X dev -W error -m covergame.cli "$@" --format "$fmt" 2>&1 >/dev/null)
+        # The trailing "x" keeps the newlines that $(...) would strip.
+        err=$(PYTHONPATH=src "$PYTHON" -X dev -W error -m covergame.cli "$@" --format "$fmt" 2>&1 >/dev/null
+              code=$?; printf x; exit $code)
         code=$?
+        err=${err%x}
         runs=$((runs + 1))
-        if [ "$code" -ne "$want" ] || [ -n "$err" ]; then
-            echo "FAIL (exit $code, expected $want): covergame $* --format $fmt"
-            [ -n "$err" ] && echo "$err"
+        problem=$(stderr_problem "$want" "$err")
+        if [ "$code" -ne "$want" ] || [ -n "$problem" ]; then
+            echo "FAIL (exit $code, expected $want${problem:+; $problem}): covergame $* --format $fmt" | cut -c 1-300
+            printf '%s' "$err" | head -c 1000; echo
             bad=$((bad + 1))
         fi
     done
@@ -34,6 +60,10 @@ for graph in tests/data/*.g; do
 done
 expect 0 verify tests/data/triangle.g tests/data/triangle.good.alloc --exhaustive
 expect 3 verify tests/data/triangle.g tests/data/triangle.bad.alloc
+expect 1 gap tests/data/triangle.bad.alloc
+expect 1 no-such-command tests/data/triangle.g
+expect 1 cover tests/data/triangle.g --cap "$(printf '9%.0s' $(seq 5000))"
+expect 2 cover tests/data/house.g --cap 1
 
 echo "$runs runs under -X dev -W error, $bad failed"
 [ "$bad" -eq 0 ]

@@ -44,10 +44,14 @@ from .rationals import _echo, _parse_integer, format_rational
 
 def _count(text: str) -> int:
     """argparse type of every numeric flag: ASCII digits only, so a bad
-    value is a usage error."""
-    if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {_echo(text)}")
-    return int(text)
+    value is a usage error. A number too long for ``int()`` is one too,
+    quoted like any other bad token."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {_echo(text)}")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -44,7 +44,7 @@ class CoverCertificate:
     """An edge cover with its exact weight and, when available, a dual
     allocation of equal total certifying optimality."""
 
-    kind: str  # "integral" | "half-integral" | "fractional"
+    kind: str  # "integral" | "half-integral"
     values: EdgeVector
     weight: Fraction
     dual_witness: tuple[Fraction, ...] | None = None

@@ -2,9 +2,9 @@
 shortest odd cycles, and the bipartite doubling construction.
 
 ``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS and
-one tie-broken path: the two-coloring, the odd-walk witnesses and the
-canonical rounding in ``covers`` all use them. The one other traversal is
-``_odd_closed_walk_through``, the truncated search for odd-cycle lengths.
+one tie-broken path: the two-coloring, the odd-walk witnesses, the
+truncated odd-cycle search and the canonical rounding in ``covers`` all
+use them.
 
 All types are immutable values after construction and every operation is a
 pure function, so everything here is safe to share across threads.
@@ -208,14 +208,14 @@ def boundary(g: WeightedGraph, members: Iterable[int]) -> tuple[Edge, ...]:
 def star_edges(g: WeightedGraph, center: int, members: Iterable[int]) -> tuple[Edge, ...]:
     """delta(v, T): the edges between a center and a nonempty set of its neighbors."""
     if not (0 <= center < g.vertex_count):
-        raise ValueError(f"star center {center} is not a vertex")
+        raise ValueError(f"star center {_echo(center)} is not a vertex")
     t = frozenset(members)
     if not t:
         raise ValueError("star must have at least one member")
     neighborhood = set(g.neighbors(center))
     for u in t:
         if u not in neighborhood:
-            raise ValueError(f"star member {u} is not adjacent to center {center}")
+            raise ValueError(f"star member {_echo(u)} is not adjacent to center {_echo(center)}")
     return tuple(sorted(edge_key(center, u) for u in t))
 
 
@@ -232,14 +232,20 @@ class BipartitenessReport:
     odd_closed_walk: tuple[int, ...] | None
 
 
-def _bfs_distances(neighbors: Callable[[_T], Iterable[_T]], source: _T) -> dict[_T, int]:
-    """Breadth-first distances from source; the keys, in visiting order,
-    are the vertices reachable from it."""
-    dist = {source: 0}
-    queue = deque([source])
+def _bfs_distances(
+    neighbors: Callable[[_T], Iterable[_T]], source: _T, limit: float = math.inf
+) -> dict[_T, int]:
+    """Breadth-first distances from source that are below limit; the keys,
+    in visiting order, are the vertices within that distance. Vertices
+    leave the queue in order of distance, so the search stops at the first
+    one whose neighbors would reach the limit."""
+    dist = {source: 0} if limit > 0 else {}
+    queue = deque(dist)
     while queue:
         v = queue.popleft()
         d = dist[v] + 1
+        if d >= limit:
+            break
         for u in neighbors(v):
             if u not in dist:
                 dist[u] = d
@@ -314,26 +320,15 @@ class OddCycleReport:
 def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: float) -> int | None:
     """Length of the shortest odd closed walk through s, if it is below bound.
 
-    BFS in g by levels. Every edge joins equal or adjacent levels, so an odd
-    closed walk through s uses an edge inside some level j and is at least
-    2j + 1 long; s -> x, x-y, y -> s gives 2k + 1 for the first level k that
-    holds an edge. The search stops once 2k + 1 reaches the bound.
+    Every edge joins equal or adjacent BFS levels, so an odd closed walk
+    through s uses an edge inside some level j and is at least 2j + 1 long;
+    s -> x, x-y, y -> s gives 2k + 1 for the first level k that holds an
+    edge. Only levels k with 2k + 1 < bound are searched.
     """
-    dist = {s: 0}
-    level = [s]
-    k = 0
-    while level and 2 * k + 1 < bound:
-        deeper = []
-        for v in level:
-            for u in g.neighbors(v):
-                d = dist.get(u)
-                if d is None:
-                    dist[u] = k + 1
-                    deeper.append(u)
-                elif d == k:
-                    return 2 * k + 1
-        level = deeper
-        k += 1
+    dist = _bfs_distances(g.neighbors, s, (bound - 1) / 2)
+    for v, k in dist.items():
+        if k in map(dist.get, g.neighbors(v)):  # a neighbor on its own level
+            return 2 * k + 1
     return None
 
 

@@ -80,33 +80,23 @@ def _reduced_costs(cost: list[Fraction], tableau: list[list[Fraction]], basis: l
     return z
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    z: list[Fraction] | None,
-    row: int,
-    col: int,
-) -> None:
-    # Row i becomes r_i - r_i[col] * prow, which leaves r_i[k] as it is
-    # wherever prow[k] is zero, so only the pivot row's nonzero positions
-    # are touched. Rows are updated in place.
-    prow = tableau[row]
+def _pivot(rows: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
+    # Every row but the pivot row, the reduced-cost row too when it is
+    # passed last, becomes r_i - r_i[col] * prow. That leaves r_i[k] as it
+    # is wherever prow[k] is zero, so only the pivot row's nonzero
+    # positions are touched. Rows are updated in place.
+    prow = rows[row]
     piv = prow[col]
     support = [k for k, a in enumerate(prow) if a]
     if piv != 1:
         for k in support:
             prow[k] /= piv
     entries = [(k, prow[k]) for k in support]
-    for i, r in enumerate(tableau):
+    for i, r in enumerate(rows):
         f = r[col]
         if f and i != row:
             for k, b in entries:
                 r[k] -= f * b
-    if z is not None:
-        f = z[col]
-        if f:
-            for k, b in entries:
-                z[k] -= f * b
     basis[row] = col
 
 
@@ -118,6 +108,7 @@ def _iterate(
     phase: int,
 ) -> str:
     width = len(z)
+    rows = tableau + [z]
     while True:
         col = None
         for j in range(width - 1):  # Bland: lowest improving index enters
@@ -143,7 +134,7 @@ def _iterate(
             return "unbounded"
         if trace:
             trace.write(f"phase {phase}: x{col} enters, x{basis[row]} leaves\n")
-        _pivot(tableau, basis, z, row, col)
+        _pivot(rows, basis, row, col)
 
 
 def _purge_artificials(tableau: list[list[Fraction]], basis: list[int], art_start: int) -> None:
@@ -154,7 +145,7 @@ def _purge_artificials(tableau: list[list[Fraction]], basis: list[int], art_star
         if basis[i] >= art_start:
             row = tableau[i]
             col = next(j for j in range(art_start) if row[j] != 0)
-            _pivot(tableau, basis, None, i, col)
+            _pivot(tableau, basis, i, col)
 
 
 def _check_solution(

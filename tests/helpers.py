@@ -154,37 +154,38 @@ def fraction_check_core_stars(g: WeightedGraph, allocation) -> tuple:
     return True, None
 
 
+def parity_distances(g: WeightedGraph, start: int, start_parity: int = 0) -> list[list[int]]:
+    """Distances in the parity double cover from (start, start_parity), with
+    their own BFS: dist[v][p] for the state (v, p), vertex v reached by a
+    walk of parity p, and -1 where it is unreachable."""
+    dist = [[-1, -1] for _ in range(g.vertex_count)]
+    dist[start][start_parity] = 0
+    queue = deque([(start, start_parity)])
+    while queue:
+        v, p = queue.popleft()
+        for u in g.neighbors(v):
+            if dist[u][1 - p] == -1:
+                dist[u][1 - p] = dist[v][p] + 1
+                queue.append((u, 1 - p))
+    return dist
+
+
 def double_cover_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     """Reference shortest odd cycle: a full BFS of the parity double cover
-    from every vertex, O(|V| |E|), with its own BFS.
+    from every vertex, O(|V| |E|), with ``parity_distances``.
 
-    The state (v, p) is vertex v reached by a walk of parity p. The shortest
-    odd closed walk through s is the distance from (s, 0) to (s, 1); the
-    lowest s with the least distance wins, and the witness is the
-    lexicographically smallest shortest walk from (s, 0) to (s, 1).
+    The shortest odd closed walk through s is the distance from (s, 0) to
+    (s, 1); the lowest s with the least distance wins, and the witness is
+    the lexicographically smallest shortest walk from (s, 0) to (s, 1).
     """
-    n = g.vertex_count
-
-    def layers(start, start_parity):
-        dist = [[-1, -1] for _ in range(n)]
-        dist[start][start_parity] = 0
-        queue = deque([(start, start_parity)])
-        while queue:
-            v, p = queue.popleft()
-            for u in g.neighbors(v):
-                if dist[u][1 - p] == -1:
-                    dist[u][1 - p] = dist[v][p] + 1
-                    queue.append((u, 1 - p))
-        return dist
-
     best_len, best_start, forward = None, -1, None
-    for s in range(n):
-        dist = layers(s, 0)
+    for s in range(g.vertex_count):
+        dist = parity_distances(g, s)
         if dist[s][1] != -1 and (best_len is None or dist[s][1] < best_len):
             best_len, best_start, forward = dist[s][1], s, dist
     if best_len is None:
         return OddCycleReport(None, None)
-    backward = layers(best_start, 1)
+    backward = parity_distances(g, best_start, 1)
     walk = [best_start]
     for step in range(1, best_len + 1):
         parity = step % 2

@@ -288,8 +288,10 @@ class TestErrorsAndDeterminism:
              "bad coalition {}; expected comma-separated vertex ids"),
             ("9" * 200_000 + "x", "2 1\n0 1 1\n", None, ("--coalition", "0", "--cap", "{}"),
              "argument --cap: expected a nonnegative integer, not {}"),
+            ("9" * 5000, "2 1\n0 1 1\n", None, ("--coalition", "0", "--cap", "{}"),
+             "argument --cap: expected a nonnegative integer, not {}"),
         ],
-        ids=["weight", "allocation-vertex", "allocation-value", "coalition", "cap"],
+        ids=["weight", "allocation-vertex", "allocation-value", "coalition", "cap", "cap-digits"],
     )
     def test_long_bad_tokens_are_cut(
         self, tmp_path, capsys, token, graph, allocation, extra, message

@@ -2,6 +2,7 @@
 cycles, and the doubling construction."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -13,6 +14,7 @@ from helpers import (
     disjoint_union,
     double_cover_odd_cycle,
     grid_edges,
+    parity_distances,
     path_graph,
     random_bipartite_graph,
     random_graph,
@@ -243,6 +245,16 @@ class TestStarEdges:
         with pytest.raises(ValueError):
             star_edges(path_graph([1, 1]), 0, {2})
 
+    def test_long_numbers_are_cut(self):
+        # Past 4300 digits a whole integer in an f-string raises the
+        # interpreter's own error; the messages quote 40 digits.
+        big = 10**5000 - 1
+        echo = "9" * 40 + "\u2026"
+        with pytest.raises(ValueError, match=f"^star center {echo} is not a vertex$"):
+            star_edges(triangle(), big, {1})
+        with pytest.raises(ValueError, match=f"^star member {echo} is not adjacent to center 0$"):
+            star_edges(triangle(), 0, {big})
+
 
 class TestBipartiteness:
     def test_triangle_is_not(self):
@@ -346,6 +358,32 @@ class TestShortestOddCycle:
         assert walks == []
         assert shortest_odd_cycle(g).witness == (9, 10, 11, 9)
         assert walks == [9]
+
+    def test_odd_walk_per_start_matches_parity_double_cover(self):
+        # Under every bound b, the truncated search from s returns the
+        # distance from (s, 0) to (s, 1) in the parity double cover when it
+        # is below b, and None otherwise; each truncated BFS is the full one
+        # cut at its limit, in the same visiting order.
+        rng = random.Random(53)
+        corpus = [random_graph(rng, max_vertices=10, max_extra_edges=4) for _ in range(40)]
+        corpus += [random_bipartite_graph(rng, max_vertices=10) for _ in range(15)]
+        corpus += [disjoint_union(*(random_graph(rng, max_vertices=5) for _ in range(2)))
+                   for _ in range(25)]
+        corpus += [disjoint_union(cycle_graph(4), cycle_graph(5), triangle()), cycle_graph(9)]
+        cases = {"found": 0, "cut": 0, "bipartite-start": 0}
+        for g in corpus:
+            n = g.vertex_count
+            for s in g.vertices():
+                odd = parity_distances(g, s)[s][1]
+                for b in [*range(1, 2 * n + 3), math.inf]:
+                    expected = odd if 0 < odd < b else None
+                    assert graphs._odd_closed_walk_through(g, s, b) == expected, (g, s, b)
+                    cases["found" if expected else "cut" if odd > 0 else "bipartite-start"] += 1
+                full = list(graphs._bfs_distances(g.neighbors, s).items())
+                for limit in [*range(n + 2), math.inf]:
+                    cut = list(graphs._bfs_distances(g.neighbors, s, limit).items())
+                    assert cut == [(v, d) for v, d in full if d < limit], (g, s, limit)
+        assert min(cases.values()) >= 100, cases
 
     def test_matches_enumeration_oracle(self):
         rng = random.Random(13)
