@@ -1,7 +1,8 @@
 """Minimum-weight edge covers: exact integral search, half-integral covers
-from the covering LP (through the doubling construction on non-bipartite
-graphs), the optimal packing LP behind every fractional optimum, and the
-rounding that leaves only vertex-disjoint odd cycles fractional.
+folded from one covering LP (of the graph when it is bipartite, else of
+its bipartite double), the optimal packing LP behind every fractional
+optimum, and the rounding that leaves only vertex-disjoint odd cycles
+fractional. Both LPs go through one checked solve, ``_optimum``.
 
 The rounding has one rule for choosing a walk in the 1/2-valued support,
 in which a simple cycle is a flower of one petal, and each pass shifts
@@ -12,25 +13,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key
 from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
-from .rationals import format_rational
+from .rationals import HALF, ONE, ZERO, format_rational
 
-# Every half-integral entry this module builds is one of these three
-# objects, so a vector holds no Fraction of its own per edge.
-ZERO = Fraction(0)
-HALF = Fraction(1, 2)
-ONE = Fraction(1)
+if TYPE_CHECKING:  # the LP module loads only when a cover is solved
+    from .lp import LinearProgram, LpSolution
+
+# Every half-integral entry this module builds is one of the three shared
+# constants, so a vector holds no Fraction of its own per edge.
 _SHARED = {x: x for x in (ZERO, HALF, ONE)}
 
 EdgeVector = dict[Edge, Fraction]
 
 
 def __getattr__(name: str):
-    # The LP module loads only when a cover is solved: the two helpers that
+    # The LP module loads only when a cover is solved: the functions that
     # solve import it. Its names stay readable as attributes of this module.
     if name in ("dual_packing_lp", "fractional_cover_lp", "solve"):
         from . import lp
@@ -165,36 +166,25 @@ def min_edge_cover_exact(
     return CoverCertificate("integral", values, best_weight)
 
 
-def _integral_lp_cover(g: WeightedGraph) -> tuple[EdgeVector, Fraction]:
-    """Basic optimum of the covering LP of a graph known to be bipartite.
+def _optimum(lp: LinearProgram) -> LpSolution:
+    """The certified optimum of an LP that must have one: ``solve``, and a
+    RuntimeError for any other status."""
+    from .lp import solve
 
-    The incidence matrix of a bipartite graph is totally unimodular, so the
-    basic optimal solution is a 0/1 vector; that is asserted rather than
-    trusted.
-    """
-    from .lp import fractional_cover_lp, solve
-
-    primal = solve(fractional_cover_lp(g))
-    if primal.status != "optimal":
-        raise RuntimeError(f"covering LP ended with status {primal.status}")
-    values: EdgeVector = {}
-    for j, e in enumerate(g.edges):
-        x = primal.values[j]
-        if x != 0 and x != 1:
-            raise RuntimeError(f"basic optimum is not 0/1 on a bipartite graph (edge {e}: {x})")
-        values[e] = ONE if x else ZERO
-    return values, primal.objective_value
+    solution = solve(lp)
+    if solution.status != "optimal":
+        kind = "covering" if lp.sense == "min" else "packing"
+        raise RuntimeError(f"{kind} LP ended with status {solution.status}")
+    return solution
 
 
 def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
     """An optimal packing vector y of the graph and its total, which equals
     the fractional covering optimum: ``solve`` certifies y by its dual, a
     fractional cover of equal weight."""
-    from .lp import dual_packing_lp, solve
+    from .lp import dual_packing_lp
 
-    packing = solve(dual_packing_lp(g))
-    if packing.status != "optimal":
-        raise RuntimeError(f"dual packing LP ended with status {packing.status}")
+    packing = _optimum(dual_packing_lp(g))
     return packing.values, packing.objective_value
 
 
@@ -203,31 +193,38 @@ def half_integral_cover(
 ) -> CoverCertificate:
     """Optimal fractional edge cover with values in {0, 1/2, 1}.
 
-    Non-bipartite graphs go through the doubling construction: solve the
-    integral cover problem on the bipartite double and average the two
-    copies of each edge. Bipartite graphs short-circuit to the direct LP
-    cover, which is already integral and optimal; running the doubling
-    there could mix two different minimum covers of the two copies and
-    leave spurious 1/2 entries. The weight always equals the optimum of
-    the fractional covering LP, certified by an equal-total dual witness.
-    Every value is one of the shared constants ``ZERO``, ``HALF`` and
-    ``ONE``, and so is every value that ``canonicalize_to_odd_cycles``
-    rounds.
+    One covering LP is solved on a bipartite graph: ``g`` itself when it
+    is bipartite, else its bipartite double. Its incidence matrix is
+    totally unimodular, so the basic optimum is 0/1, which is asserted
+    rather than trusted. Each edge of ``g`` gets the mean of its copies:
+    itself, or its two doubled copies. Bipartite graphs skip the doubling,
+    which could mix two different minimum covers of the two copies and
+    leave spurious 1/2 entries. Both branches check that the folded cover
+    is feasible and that its weight equals the LP optimum (halved on the
+    double); that weight is the fractional covering optimum, certified by
+    an equal-total dual witness. Every value is one of the shared constants
+    ``ZERO``, ``HALF`` and ``ONE``, and so is every value that
+    ``canonicalize_to_odd_cycles`` rounds.
     """
+    from .lp import fractional_cover_lp
+
     if _two_coloring(g)[1] is None:  # no conflict: bipartite
-        values, weight = _integral_lp_cover(g)
+        solved, copies, scale = g, lambda e: (e,), 1
     else:
         doubled = double_graph(g)
-        doubled_values, doubled_weight = _integral_lp_cover(doubled.graph)
-        values = {}
-        for e in g.edges:
-            e1, e2 = doubled.doubled_pair(e)
-            values[e] = _shared((doubled_values[e1] + doubled_values[e2]) / 2)
-        weight = cover_weight(g, values)
-        if 2 * weight != doubled_weight:
-            raise RuntimeError("averaged cover weight disagrees with the doubled cover")
-        if not is_feasible_cover(g, values):
-            raise RuntimeError("averaged cover is not feasible")
+        solved, copies, scale = doubled.graph, doubled.doubled_pair, 2
+    primal = _optimum(fractional_cover_lp(solved))
+    chosen: EdgeVector = {}
+    for e, x in zip(solved.edges, primal.values):
+        if x != 0 and x != 1:
+            raise RuntimeError(f"basic optimum is not 0/1 on a bipartite graph (edge {e}: {x})")
+        chosen[e] = ONE if x else ZERO
+    values = {e: _shared(sum(chosen[c] for c in copies(e)) / scale) for e in g.edges}
+    weight = cover_weight(g, values)
+    if scale * weight != primal.objective_value:
+        raise RuntimeError("folded cover weight disagrees with the covering LP optimum")
+    if not is_feasible_cover(g, values):
+        raise RuntimeError("folded cover is not feasible")
     witness = None
     if include_dual_witness:  # an optimal packing vector of equal total
         witness, total = _optimal_packing(g)
@@ -355,11 +352,11 @@ def fractional_support_cycles(
     """The odd cycles carrying the 1/2 entries of a canonical vector, as
     closed vertex walks ordered by smallest vertex.
 
-    Raises ValueError when the support is not a disjoint union of simple
-    odd cycles.
+    Raises ValueError unless the vector is a half-integral cover whose
+    1/2-valued support is a disjoint union of simple odd cycles.
     """
     cycles = []
-    for adj in _half_support_components(g, values):
+    for adj in _half_support_components(g, _validated_half_integral_cover(g, values)):
         if not all(len(nbrs) == 2 for nbrs in adj.values()) or len(adj) % 2 == 0:
             raise ValueError("fractional support is not a disjoint union of odd cycles")
         cycles.append(tuple(_petals(adj, min(adj))[0]))

@@ -23,10 +23,7 @@ from .covers import (
 )
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
-from .rationals import _echo, _parse_integer, _significant_lines, parse_rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .rationals import ONE, ZERO, _echo, _parse_integer, _significant_lines, parse_rational
 
 Allocation = tuple[Fraction, ...]
 

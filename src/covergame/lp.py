@@ -11,6 +11,8 @@ slack column, and the optimal dual is read off the final reduced costs of
 those columns. Every optimum is returned with its dual and certified by
 exact equality (there is no epsilon anywhere in this module): both are
 feasible and their objectives are equal, which proves both optimal.
+The covering LP of a graph and its dual packing LP are built from one
+incidence matrix: one constraint per row, and one per column.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TextIO
 
-from .graphs import WeightedGraph, edge_key
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .graphs import WeightedGraph
+from .rationals import ONE, ZERO
 
 RELATIONS = (">=", "<=")
 
@@ -243,28 +243,27 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     return LpSolution("optimal", solution, objective, duals)
 
 
+def _incidence(g: WeightedGraph) -> list[list[Fraction]]:
+    """The vertex-edge incidence matrix: one row per vertex, one column
+    per edge in ``g.edges`` order, ``ONE`` where the vertex is an end."""
+    rows = [[ZERO] * g.edge_count for _ in g.vertices()]
+    for j, (u, v) in enumerate(g.edges):
+        rows[u][j] = rows[v][j] = ONE
+    return rows
+
+
 def fractional_cover_lp(g: WeightedGraph) -> LinearProgram:
     """The fractional edge cover LP: one variable per edge, one ">= 1"
-    covering constraint per vertex, objective min sum(w_e x_e)."""
-    index = {e: j for j, e in enumerate(g.edges)}
-    constraints = []
-    for v in range(g.vertex_count):
-        row = [ZERO] * len(g.edges)
-        for u in g.neighbors(v):
-            row[index[edge_key(u, v)]] = ONE
-        constraints.append(Constraint(tuple(row), ">=", ONE))
-    objective = tuple(g.weight(*e) for e in g.edges)
-    return LinearProgram("min", objective, tuple(constraints))
+    covering constraint per vertex (a row of the incidence matrix),
+    objective min sum(w_e x_e)."""
+    constraints = tuple(Constraint(tuple(row), ">=", ONE) for row in _incidence(g))
+    return LinearProgram("min", tuple(g.weight(*e) for e in g.edges), constraints)
 
 
 def dual_packing_lp(g: WeightedGraph) -> LinearProgram:
-    """The dual packing LP: one variable per vertex, one "y_u + y_v <= w_uv"
-    constraint per edge, objective max sum(y_v)."""
-    n = g.vertex_count
-    constraints = []
-    for u, v in g.edges:
-        row = [ZERO] * n
-        row[u] = ONE
-        row[v] = ONE
-        constraints.append(Constraint(tuple(row), "<=", g.weight(u, v)))
-    return LinearProgram("max", tuple([ONE] * n), tuple(constraints))
+    """The LP dual of ``fractional_cover_lp``: one variable per vertex, one
+    "y_u + y_v <= w_uv" constraint per edge (a column of the incidence
+    matrix), objective max sum(y_v)."""
+    columns = zip(*_incidence(g))
+    constraints = tuple(Constraint(col, "<=", g.weight(*e)) for col, e in zip(columns, g.edges))
+    return LinearProgram("max", tuple([ONE] * g.vertex_count), constraints)

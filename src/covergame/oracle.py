@@ -15,8 +15,7 @@ from typing import Iterable, Sequence
 from .errors import CapExceededError
 from .game import _validated_allocation
 from .graphs import WeightedGraph, coalition
-
-ZERO = Fraction(0)
+from .rationals import ZERO
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ floating point can leak into the pipeline. Tokens take ASCII digits and
 an optional leading "-" only: no "+", "_", whitespace or other digits.
 Each integer part of a token is read by ``int``, so it may have at most
 the interpreter's int-to-str limit of digits (4300 by default). Graph and
-allocation files share one reader of their numbered lines.
+allocation files share one reader of their numbered lines. The module
+also holds the three constants that the other modules share.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ from fractions import Fraction
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _ECHO_LIMIT = 40
+
+# One object each for the values that covers, LP rows and allocations
+# build most, so equal entries share it instead of holding a Fraction each.
+ZERO = Fraction(0)
+HALF = Fraction(1, 2)
+ONE = Fraction(1)
 
 
 def _echo(token: str | int | Fraction) -> str:

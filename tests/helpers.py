@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from fractions import Fraction
@@ -194,6 +195,22 @@ def double_cover_odd_cycle(g: WeightedGraph) -> OddCycleReport:
             if forward[u][parity] == step and backward[u][parity] == best_len - step
         ))
     return OddCycleReport(best_len, tuple(walk))
+
+
+def unchoosing_solve(real_solve):
+    """A ``solve`` whose covering (min) LP solutions lose their first
+    chosen edge after solving: still 0/1, but neither feasible nor of the
+    reported weight. Packing (max) LPs solve as before."""
+
+    def solve(lp: LinearProgram, trace=None) -> LpSolution:
+        solution = real_solve(lp, trace)
+        if lp.sense == "min":
+            values = list(solution.values)
+            values[values.index(1)] = Fraction(0)
+            solution = dataclasses.replace(solution, values=tuple(values))
+        return solution
+
+    return solve
 
 
 def dense_solve(lp: LinearProgram, trace=None) -> LpSolution:

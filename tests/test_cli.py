@@ -7,9 +7,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from helpers import unchoosing_solve
 
 import covergame
-from covergame import CoverCertificate, lp
+from covergame import CoverCertificate, LpSolution, lp
 from covergame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -404,6 +405,24 @@ class TestErrorsAndDeterminism:
         code, out, err = run(capsys, "allocate", DATA / "triangle.g")
         assert code == 4 and out == ""
         assert err == "error: internal: solver objective does not match the returned primal and dual\n"
+
+    def test_bipartite_cover_corrupted_after_solving_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(lp, "solve", unchoosing_solve(lp.solve))
+        code, out, err = run(capsys, "frac-cover", DATA / "c4.g")
+        assert (code, out) == (4, "")
+        assert err == "error: internal: folded cover weight disagrees with the covering LP optimum\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("frac-cover", "c4.g"), ("frac-cover", "triangle.g"), ("allocate", "triangle.g")]
+    )
+    def test_lp_without_optimum_exits_4(self, capsys, monkeypatch, argv):
+        # c4 is bipartite and solved directly, the triangle through its
+        # double; allocate solves the packing LP.
+        monkeypatch.setattr(lp, "solve", lambda program, trace=None: LpSolution("infeasible", None, None))
+        code, out, err = run(capsys, argv[0], DATA / argv[1])
+        assert (code, out) == (4, "")
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
+        assert "ended with status infeasible" in err
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_byte_identical_runs(self, capsys, fmt):

@@ -16,6 +16,7 @@ from helpers import (
     reference_canonicalize,
     star_graph,
     triangle,
+    unchoosing_solve,
 )
 
 from covergame import (
@@ -34,7 +35,7 @@ from covergame import (
     shortest_odd_cycle,
     solve,
 )
-from covergame import covers
+from covergame import covers, lp
 
 F = Fraction
 HALF = F(1, 2)
@@ -132,6 +133,14 @@ class TestBipartiteCover:
             assert sum(cert.dual_witness) == cert.weight
             assert all(x in (0, 1) for x in cert.values.values())
             assert is_feasible_cover(g, cert.values)
+
+    @pytest.mark.parametrize("include_dual_witness", [False, True])
+    def test_solution_corrupted_after_solving_is_caught(self, monkeypatch, include_dual_witness):
+        # The bipartite branch checks the weight and feasibility of what
+        # the LP returned, as the doubled branch does.
+        monkeypatch.setattr(lp, "solve", unchoosing_solve(lp.solve))
+        with pytest.raises(RuntimeError, match="weight disagrees"):
+            half_integral_cover(cycle_graph(4), include_dual_witness=include_dual_witness)
 
 
 class TestHalfIntegralCover:
@@ -283,6 +292,19 @@ class TestCanonicalization:
         x = {e: HALF for e in g.edges}
         with pytest.raises(ValueError):
             fractional_support_cycles(g, x)
+
+    @pytest.mark.parametrize(
+        "g, values, message",
+        [
+            (cycle_graph(4), {e: HALF for e in cycle_graph(4).edges}, "odd cycles"),
+            # The lone fractional edge is no odd cycle, and 1/3 is not a half.
+            (path_graph([1, 1, 1]), {(0, 1): F(1), (1, 2): F(1, 3), (2, 3): F(1)}, "half-integral"),
+            (triangle(), {(0, 1): HALF, (0, 2): HALF}, "every edge"),
+        ],
+    )
+    def test_support_cycle_reporting_rejects_bad_vectors(self, g, values, message):
+        with pytest.raises(ValueError, match=message):
+            fractional_support_cycles(g, values)
 
 
 class TestSharedConstants:
