@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key
 from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
-from .rationals import HALF, ONE, ZERO, format_rational
+from .rationals import HALF, ONE, ZERO, _fraction, format_rational
 
 if TYPE_CHECKING:  # the LP module loads only when a cover is solved
     from .lp import LinearProgram, LpSolution
@@ -93,7 +93,7 @@ def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> Edge
     """The vector in Fractions, keeping the caller's Fraction objects.
     Raises ValueError unless it gives every edge a value in {0, 1/2, 1}
     and covers every vertex."""
-    x: EdgeVector = {e: v if type(v) is Fraction else Fraction(v) for e, v in values.items()}
+    x: EdgeVector = {e: _fraction(v) for e, v in values.items()}
     if set(x) != set(g.edges):
         raise ValueError("vector must assign a value to every edge of the graph")
     if not is_half_integral(x):
@@ -181,11 +181,12 @@ def _optimum(lp: LinearProgram) -> LpSolution:
 def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
     """An optimal packing vector y of the graph and its total, which equals
     the fractional covering optimum: ``solve`` certifies y by its dual, a
-    fractional cover of equal weight."""
+    fractional cover of equal weight. Entries equal to 0, 1/2 or 1 are the
+    shared constants."""
     from .lp import dual_packing_lp
 
     packing = _optimum(dual_packing_lp(g))
-    return packing.values, packing.objective_value
+    return tuple(map(_shared, packing.values)), packing.objective_value
 
 
 def half_integral_cover(

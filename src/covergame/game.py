@@ -23,13 +23,13 @@ from .covers import (
 )
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
-from .rationals import ONE, ZERO, _echo, _parse_integer, _significant_lines, parse_rational
+from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
 
 Allocation = tuple[Fraction, ...]
 
 
 def _validated_allocation(g: WeightedGraph, allocation: Sequence[Fraction]) -> Allocation:
-    values = tuple(a if type(a) is Fraction else Fraction(a) for a in allocation)
+    values = tuple(map(_fraction, allocation))
     if len(values) != g.vertex_count:
         raise ValueError(
             f"allocation must assign a value to every vertex "

@@ -3,14 +3,18 @@
 A two-phase tableau simplex over ``fractions.Fraction`` with Bland's
 anti-cycling rule. Exactness and determinism come first: the same input
 always takes the same pivot path and yields the same basic optimal
-solution. The tableau is a list of dense rows, but a pivot reads and
-writes only the nonzero entries of the pivot row in each row it changes,
-which on the sparse covering and packing LPs of graphs is a small part of
-the tableau. Constraints are ">=" or "<=" only, so every row owns one
-slack column, and the optimal dual is read off the final reduced costs of
-those columns. Every optimum is returned with its dual and certified by
-exact equality (there is no epsilon anywhere in this module): both are
-feasible and their objectives are equal, which proves both optimal.
+solution. The tableau is a list of dense rows that starts from the
+program's own coefficient objects, and the arithmetic touches nonzero
+entries only: a pivot reads and writes only the nonzero entries of the
+pivot row in each row it changes, the reduced costs subtract only the
+nonzero entries of each basic row, and the certificate walks the nonzero
+coefficients of each constraint once. On the sparse covering and packing
+LPs of graphs that is a small part of the tableau. Constraints are ">="
+or "<=" only, so every row owns one slack column, and the optimal dual is
+read off the final reduced costs of those columns. Every optimum is
+returned with its dual and certified by exact equality (there is no
+epsilon anywhere in this module): both are feasible and their objectives
+are equal, which proves both optimal.
 The covering LP of a graph and its dual packing LP are built from one
 incidence matrix: one constraint per row, and one per column.
 """
@@ -22,7 +26,7 @@ from fractions import Fraction
 from typing import TextIO
 
 from .graphs import WeightedGraph
-from .rationals import ONE, ZERO
+from .rationals import ONE, ZERO, _fraction
 
 RELATIONS = (">=", "<=")
 
@@ -74,9 +78,9 @@ def _reduced_costs(cost: list[Fraction], tableau: list[list[Fraction]], basis: l
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
-            row = tableau[i]
-            for k in range(len(z)):
-                z[k] -= cb * row[k]
+            for k, a in enumerate(tableau[i]):
+                if a:
+                    z[k] -= cb * a
     return z
 
 
@@ -158,14 +162,17 @@ def _check_solution(
         raise RuntimeError("solver returned a negative variable")
     reduced = list(lp.objective)  # c - A^T y
     for i, (con, y) in enumerate(zip(lp.constraints, duals)):
-        lhs = sum(a * values[j] for j, a in enumerate(con.coeffs) if a and values[j])
+        lhs = 0
+        for j, a in enumerate(con.coeffs):  # one walk over the row's nonzeros
+            if a:
+                if values[j]:
+                    lhs += a * values[j]
+                if y:
+                    reduced[j] -= a * y
         if not (lhs >= con.rhs if con.relation == ">=" else lhs <= con.rhs):
             raise RuntimeError(f"solver returned an infeasible point: {lhs} {con.relation} {con.rhs}")
         if y and (y < 0) == (minimize == (con.relation == ">=")):
             raise RuntimeError(f"dual value of row {i} has the wrong sign")
-        for j, a in enumerate(con.coeffs):
-            if a and y:
-                reduced[j] -= a * y
     if any(r < 0 if minimize else r > 0 for r in reduced):
         raise RuntimeError("solver returned an infeasible dual")
     primal_total = sum(c * x for c, x in zip(lp.objective, values) if x)
@@ -187,7 +194,7 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     """
     n = len(lp.objective)
     minimize = lp.sense == "min"
-    cost = [Fraction(c) if minimize else -Fraction(c) for c in lp.objective]
+    cost = [_fraction(c) if minimize else -_fraction(c) for c in lp.objective]
 
     m = len(lp.constraints)
     ge = [(con.relation == ">=") == (con.rhs >= 0) for con in lp.constraints]  # once negated
@@ -199,7 +206,7 @@ def solve(lp: LinearProgram, trace: TextIO | None = None) -> LpSolution:
     basis: list[int] = []
     a_col = art_start
     for i, con in enumerate(lp.constraints):
-        row = [Fraction(a) for a in con.coeffs] + [ZERO] * (width - n - 1) + [Fraction(con.rhs)]
+        row = [_fraction(a) for a in con.coeffs] + [ZERO] * (width - n - 1) + [_fraction(con.rhs)]
         if con.rhs < 0:
             row = [-a for a in row]
         if ge[i]:

@@ -7,7 +7,8 @@ an optional leading "-" only: no "+", "_", whitespace or other digits.
 Each integer part of a token is read by ``int``, so it may have at most
 the interpreter's int-to-str limit of digits (4300 by default). Graph and
 allocation files share one reader of their numbered lines. The module
-also holds the three constants that the other modules share.
+also holds the three constants that the other modules share, and the one
+conversion to Fraction that keeps an input that already is one.
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ _ECHO_LIMIT = 40
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+
+
+def _fraction(x: int | Fraction) -> Fraction:
+    """x itself when it is a Fraction, so the caller keeps its objects (the
+    shared constants among them); else a new Fraction equal to x."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def _echo(token: str | int | Fraction) -> str:

@@ -22,6 +22,7 @@ from helpers import (
 from covergame import (
     CapExceededError,
     WeightedGraph,
+    allocate_alpha_core,
     brute_fractional_optimum,
     brute_min_cover,
     canonicalize_to_odd_cycles,
@@ -342,6 +343,16 @@ class TestSharedConstants:
         canonical = canonicalize_to_odd_cycles(g, x)
         assert canonical != x  # the alternating shifts ran
         self.assert_shared(canonical)
+
+    @pytest.mark.parametrize(
+        "g", [triangle(), cycle_graph(5), cycle_graph(4)], ids=["triangle", "C5", "bipartite-C4"]
+    )
+    def test_packing_entries_are_the_module_constants(self, g):
+        # The dual witness and the allocation are both optimal packings.
+        vectors = (half_integral_cover(g).dual_witness, allocate_alpha_core(g).allocation)
+        entries = [y for vector in vectors for y in vector if y in self.SHARED]
+        assert entries
+        assert all(any(y is c for c in self.SHARED) for y in entries), vectors
 
     def test_validation_keeps_the_callers_fractions(self):
         g = triangle()

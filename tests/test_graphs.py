@@ -359,6 +359,15 @@ class TestShortestOddCycle:
         assert shortest_odd_cycle(g).witness == (9, 10, 11, 9)
         assert walks == [9]
 
+    def test_odd_walk_search_stops_at_the_first_level_edge(self, monkeypatch):
+        # A triangle at 0 with a 40-edge tail: the walk 0-1-2-0 is found at
+        # vertex 1, so the tail is never reached.
+        g = WeightedGraph(43, [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(v, v + 1, 1) for v in range(2, 42)])
+        calls = []
+        monkeypatch.setattr(WeightedGraph, "neighbors", lambda self, v: calls.append(v) or self._neighbors[v])
+        assert graphs._odd_closed_walk_through(g, 0, math.inf) == 3
+        assert calls == [0, 0, 1]  # checked and expanded, then checked
+
     def test_odd_walk_per_start_matches_parity_double_cover(self):
         # Under every bound b, the truncated search from s returns the
         # distance from (s, 0) to (s, 1) in the parity double cover when it

@@ -251,26 +251,39 @@ class TestDualCertificate:
             assert cover_weight(g, x) == sol.objective_value
 
     @pytest.mark.parametrize(
-        "lp, values, duals, objective",
+        "lp, values, duals, objective, message",
         [
-            # each certificate breaks exactly one condition
-            pytest.param(lp_min([1], [([1], ">=", 1)]), (0,), (0,), 0, id="infeasible-row"),
-            pytest.param(lp_max([1, 0], [([1, 1], "<=", 1)]), (2, -1), (2,), 2, id="negative-x"),
+            # each certificate breaks exactly one condition, and the checker names it
             pytest.param(
-                lp_min([1], [([1], ">=", 1), ([1], "<=", 3)]), (1,), (0, F(1, 3)), 1, id="dual-sign"
+                lp_min([1], [([1], ">=", 1)]), (0,), (0,), 0,
+                "^solver returned an infeasible point: 0 >= 1$", id="infeasible-row",
+            ),
+            pytest.param(
+                lp_max([1, 0], [([1, 1], "<=", 1)]), (2, -1), (2,), 2,
+                "^solver returned a negative variable$", id="negative-x",
+            ),
+            pytest.param(
+                lp_min([1], [([1], ">=", 1), ([1], "<=", 3)]), (1,), (0, F(1, 3)), 1,
+                "^dual value of row 1 has the wrong sign$", id="dual-sign",
             ),
             pytest.param(
                 lp_min([1, 2], [([1, 0], ">=", 1), ([0, 1], ">=", 0)]), (1, 0), (1, 5), 1,
-                id="dual-infeasible",
+                "^solver returned an infeasible dual$", id="dual-infeasible",
             ),
-            pytest.param(lp_min([1], [([1], ">=", 1)]), (1,), (F(1, 2),), 1, id="dual-total"),
-            pytest.param(lp_min([1], [([1], ">=", 1)]), (2,), (1,), 1, id="primal-total"),
+            pytest.param(
+                lp_min([1], [([1], ">=", 1)]), (1,), (F(1, 2),), 1,
+                "^solver objective does not match the returned primal and dual$", id="dual-total",
+            ),
+            pytest.param(
+                lp_min([1], [([1], ">=", 1)]), (2,), (1,), 1,
+                "^solver objective does not match the returned primal and dual$", id="primal-total",
+            ),
         ],
     )
-    def test_checker_rejects_each_broken_condition(self, lp, values, duals, objective):
+    def test_checker_rejects_each_broken_condition(self, lp, values, duals, objective, message):
         assert solve(lp).status == "optimal"  # its true optimum passes the same check
         values, duals = tuple(map(F, values)), tuple(map(F, duals))
-        with pytest.raises(RuntimeError):
+        with pytest.raises(RuntimeError, match=message):
             lp_module._check_solution(lp, values, duals, F(objective))
 
     @pytest.mark.parametrize("fault", ["skewed-slack-cost", "flipped-duals", "skewed-objective"])
