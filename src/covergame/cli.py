@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, and the one place that renders results.
 
 Subcommands: cover, frac-cover, gap, allocate, cost, verify, one row each
 of the table (name, help text, handler) the parser is built from; each
@@ -67,10 +67,26 @@ def _fmt_members(members) -> str:
     return ",".join(str(v) for v in sorted(members))
 
 
+def _entries(values) -> list[dict] | None:
+    """The nonzero entries of an edge vector in edge order; None stays None."""
+    if values is None:
+        return None
+    return [{"edge": list(e), "value": format_rational(x)} for e, x in sorted(values.items()) if x]
+
+
+def _rationals(vector) -> list[str] | None:
+    return None if vector is None else [format_rational(x) for x in vector]
+
+
 def _cover_output(cert: CoverCertificate, cycles=None) -> tuple[dict, list[str]]:
     """The JSON payload and text lines of a cover certificate, with the
     fractional support cycles when they are given."""
-    payload = cert.to_json_dict()
+    payload = {
+        "kind": cert.kind,
+        "weight": format_rational(cert.weight),
+        "entries": _entries(cert.values),
+        "dual_witness": _rationals(cert.dual_witness),
+    }
     lines = [f"kind: {payload['kind']}", f"weight: {payload['weight']}", "cover:"]
     lines.extend(f"  {_fmt_walk(item['edge'])} = {item['value']}" for item in payload["entries"])
     if cycles is not None:
@@ -97,22 +113,15 @@ def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
 
 def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
     report = integrality_gap(g)
-    rho = format_rational(report.rho)
     payload = {
         "ell": report.ell,
-        "rho": rho,
+        "rho": format_rational(report.rho),
         "cycle": None if report.cycle is None else list(report.cycle),
-        "witness_weights": None
-        if report.witness_weights is None
-        else [
-            {"edge": [u, v], "value": format_rational(w)}
-            for (u, v), w in sorted(report.witness_weights.items())
-            if w
-        ],
+        "witness_weights": _entries(report.witness_weights),
     }
     lines = [
         f"ell: {'none' if report.ell is None else report.ell}",
-        f"rho: {rho}",
+        f"rho: {payload['rho']}",
         f"cycle: {'none' if report.cycle is None else _fmt_walk(report.cycle)}",
     ]
     return 0, payload, lines
@@ -128,7 +137,7 @@ def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
         "total": format_rational(report.total),
         "grand_cost": grand_cost,
         "ratio": ratio,
-        "allocation": [format_rational(a) for a in report.allocation],
+        "allocation": _rationals(report.allocation),
     }
     lines = [
         f"alpha: {payload['alpha']}",

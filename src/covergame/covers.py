@@ -1,8 +1,9 @@
-"""Minimum-weight edge covers: exact integral search, half-integral covers
-folded from one covering LP (of the graph when it is bipartite, else of
-its bipartite double), the optimal packing LP behind every fractional
-optimum, and the rounding that leaves only vertex-disjoint odd cycles
-fractional. Both LPs go through one checked solve, ``_optimum``.
+"""Minimum-weight edge covers, as plain values that only ``cli`` renders:
+exact integral search, half-integral covers folded from one covering LP
+(of the graph when it is bipartite, else of its bipartite double), the
+optimal packing LP behind every fractional optimum, and the rounding that
+leaves only vertex-disjoint odd cycles fractional. Both LPs go through one
+checked solve, ``_optimum``.
 
 The rounding has one rule for choosing a walk in the 1/2-valued support,
 in which a simple cycle is a flower of one petal, and each pass shifts
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import CapExceededError
 from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key
 from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
-from .rationals import HALF, ONE, ZERO, _fraction, format_rational
+from .rationals import HALF, ONE, ZERO, _fraction
 
 if TYPE_CHECKING:  # the LP module loads only when a cover is solved
     from .lp import LinearProgram, LpSolution
@@ -43,28 +44,12 @@ def __getattr__(name: str):
 @dataclass(frozen=True)
 class CoverCertificate:
     """An edge cover with its exact weight and, when available, a dual
-    allocation of equal total certifying optimality."""
+    allocation of equal total certifying optimality; ``cli`` renders it."""
 
     kind: str  # "integral" | "half-integral"
     values: EdgeVector
     weight: Fraction
     dual_witness: tuple[Fraction, ...] | None = None
-
-    def nonzero_entries(self) -> list[tuple[Edge, Fraction]]:
-        return [(e, x) for e, x in sorted(self.values.items()) if x]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "weight": format_rational(self.weight),
-            "entries": [
-                {"edge": [u, v], "value": format_rational(x)}
-                for (u, v), x in self.nonzero_entries()
-            ],
-            "dual_witness": None
-            if self.dual_witness is None
-            else [format_rational(y) for y in self.dual_witness],
-        }
 
 
 def cover_weight(g: WeightedGraph, values: EdgeVector) -> Fraction:
@@ -351,14 +336,14 @@ def fractional_support_cycles(
     g: WeightedGraph, values: EdgeVector
 ) -> tuple[tuple[int, ...], ...]:
     """The odd cycles carrying the 1/2 entries of a canonical vector, as
-    closed vertex walks ordered by smallest vertex.
-
-    Raises ValueError unless the vector is a half-integral cover whose
-    1/2-valued support is a disjoint union of simple odd cycles.
+    closed vertex walks ordered by smallest vertex. Raises ValueError
+    unless the vector is a half-integral cover and ``_rounding_walk`` finds
+    each 1/2-valued support component to be a simple odd cycle.
     """
+    x = _validated_half_integral_cover(g, values)
     cycles = []
-    for adj in _half_support_components(g, _validated_half_integral_cover(g, values)):
-        if not all(len(nbrs) == 2 for nbrs in adj.values()) or len(adj) % 2 == 0:
+    for adj in _half_support_components(g, x):
+        if _rounding_walk(g, x, adj) is not None:
             raise ValueError("fractional support is not a disjoint union of odd cycles")
         cycles.append(tuple(_petals(adj, min(adj))[0]))
     return tuple(cycles)

@@ -165,8 +165,8 @@ def allocate_alpha_core(
     are asserted whenever the grand cost is within the cap.
     """
     allocation, total = _optimal_packing(g)
-    ell = shortest_odd_cycle(g).length
-    alpha = ONE if ell is None else Fraction(ell, ell + 1)
+    gap = integrality_gap(g)
+    alpha = 1 / gap.rho
 
     try:
         grand = coalition_cost(g, g.vertices(), max_candidate_edges=max_candidate_edges)
@@ -176,7 +176,7 @@ def allocate_alpha_core(
     if grand is not None:
         if total < alpha * grand:
             raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
-        if ell is None and total != grand:
+        if gap.ell is None and total != grand:
             raise RuntimeError("bipartite allocation total must equal the grand cost")
         if grand:
             ratio = total / grand
@@ -226,9 +226,7 @@ def verify_scaled_cover_membership(
     if n > max_vertices:
         raise CapExceededError(f"{n} vertices exceed the odd-set enumeration cap of {max_vertices}")
     x = _validated_half_integral_cover(g, values)
-    if scale is None:
-        ell = shortest_odd_cycle(g).length
-        scale = ONE if ell is None else ONE + Fraction(1, ell)
+    scale = integrality_gap(g).rho if scale is None else _fraction(scale)
 
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     edge_values = [x[e] for e in g.edges]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .rationals import _echo, _parse_integer, _significant_lines, parse_rational
+from .rationals import _echo, _fraction, _parse_integer, _significant_lines, parse_rational
 
 Edge = tuple[int, int]
 _T = TypeVar("_T")
@@ -70,8 +70,7 @@ class WeightedGraph:
             if e in weight:
                 message = f"edge {_echo(e[0])}-{_echo(e[1])} appears twice"
                 raise GraphFormatError("duplicate-edge", message)
-            if type(w) is not Fraction:
-                w = Fraction(w)
+            w = _fraction(w)
             if w.numerator < 0:
                 message = f"edge {_echo(e[0])}-{_echo(e[1])} has weight {_echo(w)}"
                 raise GraphFormatError("negative-weight", message)

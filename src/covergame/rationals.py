@@ -8,13 +8,14 @@ Each integer part of a token is read by ``int``, so it may have at most
 the interpreter's int-to-str limit of digits (4300 by default). Graph and
 allocation files share one reader of their numbered lines. The module
 also holds the three constants that the other modules share, and the one
-conversion to Fraction that keeps an input that already is one.
+conversion to Fraction, which refuses any number that is not exact.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from numbers import Rational
 
 _INTEGER_RE = re.compile(r"-?[0-9]+")
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
@@ -29,8 +30,14 @@ ONE = Fraction(1)
 
 def _fraction(x: int | Fraction) -> Fraction:
     """x itself when it is a Fraction, so the caller keeps its objects (the
-    shared constants among them); else a new Fraction equal to x."""
-    return x if type(x) is Fraction else Fraction(x)
+    shared constants among them); else a new Fraction equal to x. Anything
+    but an int or another ``numbers.Rational`` raises TypeError: a float, a
+    str or a Decimal is not taken for an exact number."""
+    if type(x) is Fraction:
+        return x
+    if not isinstance(x, Rational):
+        raise TypeError(f"expected an int or a Fraction, not {type(x).__name__}")
+    return Fraction(x)
 
 
 def _echo(token: str | int | Fraction) -> str:

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -441,3 +442,43 @@ class TestErrorsAndDeterminism:
             first = run(capsys, *command, "--format", fmt)
             second = run(capsys, *command, "--format", fmt)
             assert first == second
+
+
+# Every subcommand on every fixture, in both formats: the argv with file
+# names relative to the data directory, then the exit code and stdout.
+_GOLDEN_COMMANDS = (
+    ("cover",),
+    ("frac-cover",),
+    ("frac-cover", "--canonical"),
+    ("gap",),
+    ("allocate",),
+    ("cost", "--coalition", "0,1"),
+)
+_GOLDEN_VERIFY = (
+    ("verify", "triangle.g", "triangle.good.alloc", "--exhaustive"),
+    ("verify", "triangle.g", "triangle.bad.alloc"),
+)
+# sha256 over those runs; any change to it is a change of CLI output bytes.
+CLI_GOLDEN_SHA256 = "cdc10b29149fa13c88b6787e29f0dd6047e3d58ce3c6ab5cb6fb7f2951eb34c6"
+
+
+def _golden_argvs() -> list[tuple[str, ...]]:
+    runs = [
+        (command[0], graph.name, *command[1:])
+        for graph in sorted(DATA.glob("*.g"))
+        for command in _GOLDEN_COMMANDS
+    ]
+    runs += _GOLDEN_VERIFY
+    return [(*argv, "--format", fmt) for argv in runs for fmt in ("text", "json")]
+
+
+class TestGoldenOutputs:
+    def test_every_subcommand_output_is_pinned(self, capsys, monkeypatch):
+        monkeypatch.chdir(DATA)
+        argvs = _golden_argvs()
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, _ = run(capsys, *argv)
+            digest.update(repr((argv, code, out)).encode("utf-8"))
+        assert len(argvs) == 88
+        assert digest.hexdigest() == CLI_GOLDEN_SHA256

@@ -211,6 +211,13 @@ class TestCanonicalization:
         with pytest.raises(ValueError, match="feasible"):
             canonicalize_to_odd_cycles(g, {e: HALF for e in g.edges})
 
+    def test_cover_values_are_exact_numbers_only(self):
+        g = path_graph([1, 1])
+        assert canonicalize_to_odd_cycles(g, {e: 1 for e in g.edges}) == {e: 1 for e in g.edges}
+        g = triangle()  # all halves is its optimum, so only the float is wrong
+        with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
+            canonicalize_to_odd_cycles(g, {e: 0.5 for e in g.edges})
+
     def test_non_half_integral_rejected(self):
         g = triangle()
         with pytest.raises(ValueError, match="half-integral"):

@@ -121,6 +121,12 @@ class TestCheckers:
         assert not ok
         assert witness == (0, frozenset({1}))
 
+    def test_allocation_takes_exact_numbers_only(self):
+        g = triangle()
+        assert check_core_dual(g, (1, 0, 0)) == (True, None)
+        with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
+            check_core_dual(g, (HALF, HALF, 0.5))
+
     def test_integer_checkers_match_fraction_reference(self):
         tight = multi_member = tied = 0
         for g, a in _checker_corpus(seed=409, graphs=320):
@@ -269,6 +275,13 @@ class TestScaledMembership:
         ok, witness = verify_scaled_cover_membership(g, xt, scale=F(1))
         assert not ok and witness == frozenset({0, 1, 2})
 
+    def test_scale_takes_exact_numbers_only(self):
+        g = triangle()
+        xt = {e: HALF for e in g.edges}
+        assert verify_scaled_cover_membership(g, xt, scale=2) == (True, None)
+        with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
+            verify_scaled_cover_membership(g, xt, scale=4 / 3)
+
     def test_bipartite_integral_scale_one(self):
         g = cycle_graph(6)
         cert = half_integral_cover(g, include_dual_witness=False)
@@ -300,6 +313,10 @@ class TestBestRatio:
         assert exact_best_ratio(triangle()) == F(3, 4)
         assert exact_best_ratio(cycle_graph(5)) == F(5, 6)
         assert exact_best_ratio(path_graph([F(3), F(4)])) == 1
+
+    def test_zero_grand_cost_is_rejected(self):
+        with pytest.raises(ValueError, match="grand coalition cost is zero"):
+            exact_best_ratio(path_graph([F(0), F(0)]))
 
     def test_never_below_guarantee(self):
         rng = random.Random(79)

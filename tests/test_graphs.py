@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,7 @@ class TestParsing:
             ),
             pytest.param((2, [(0, 1, -3)]), "negative-weight", id="constructor-negative-weight"),
             pytest.param((3, [(0, 5, 1)]), "vertex-range", id="constructor-vertex-range"),
+            pytest.param((0, []), "bad-header", id="constructor-no-vertices"),
         ],
     )
     def test_error_kinds(self, source, kind):
@@ -156,6 +158,8 @@ class TestParsing:
             ("2 1\n0 a 1\n", "malformed: vertex ids must be integers (line 2)"),
             ("2 2\n0 1 1\n", "malformed: expected 2 edge lines, found 1 (line 1)"),
             ("0 0\n", "bad-header: invalid sizes n=0, m=0 (line 1)"),
+            ("2\n0 1 1\n", "bad-header: expected 'n m' (line 1)"),
+            ("2 1 1\n0 1 1\n", "bad-header: expected 'n m' (line 1)"),
         ],
     )
     def test_error_messages_and_lines(self, text, expected):
@@ -191,6 +195,18 @@ class TestParsing:
         with pytest.raises(GraphFormatError) as err:
             WeightedGraph(2, [(0, 1, Fraction(1)), (1, 0, Fraction(2))])
         assert err.value.kind == "duplicate-edge"
+
+    @pytest.mark.parametrize("weight", [0.1, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+    def test_constructor_takes_exact_weights_only(self, weight):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            WeightedGraph(2, [(0, 1, weight)])
+
+    @pytest.mark.parametrize("weight", [3, Fraction(1, 10)], ids=["int", "fraction"])
+    def test_constructor_keeps_exact_weights(self, weight):
+        assert WeightedGraph(2, [(0, 1, weight)]).weight(0, 1) == weight
+
+    def test_repr(self):
+        assert repr(parse_graph(TRIANGLE_TEXT)) == "WeightedGraph(n=3, m=3)"
 
 
 class TestCoalitionEdges:

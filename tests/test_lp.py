@@ -210,6 +210,11 @@ class TestExactness:
         with pytest.raises(ValueError):
             Constraint((F(1),), "=", F(1))
 
+    def test_coefficients_are_exact_numbers_only(self):
+        assert solve(LinearProgram("min", (1,), (Constraint((2,), ">=", 1),))).values == (F(1, 2),)
+        with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
+            solve(LinearProgram("min", (F(1),), (Constraint((0.5,), ">=", F(1)),)))
+
 
 class TestDualCertificate:
     @pytest.mark.parametrize(
