@@ -23,12 +23,11 @@ _EXPORTS = {
         "covers": """CoverCertificate EdgeVector canonicalize_to_odd_cycles cover_weight
             fractional_support_cycles half_integral_cover is_feasible_cover
             is_half_integral min_edge_cover_exact""",
-        "errors": "CapExceededError",
         "game": """Allocation AllocationReport GapReport allocate_alpha_core check_core_dual
             check_core_stars coalition_cost exact_best_ratio integrality_gap
             parse_allocation verify_scaled_cover_membership""",
-        "graphs": """BipartitenessReport DoubledGraph Edge GraphFormatError OddCycleReport
-            WeightedGraph boundary coalition double_graph edge_key edges_within
+        "graphs": """BipartitenessReport CapExceededError DoubledGraph Edge GraphFormatError
+            OddCycleReport WeightedGraph boundary coalition double_graph edge_key edges_within
             is_bipartite load_graph parse_graph shortest_odd_cycle star_edges""",
         "lp": "Constraint LinearProgram LpSolution dual_packing_lp fractional_cover_lp solve",
         "oracle": "OracleBudget brute_core_check brute_fractional_optimum brute_min_cover",

@@ -29,7 +29,6 @@ from .covers import (
     half_integral_cover,
     min_edge_cover_exact,
 )
-from .errors import CapExceededError
 from .game import (
     allocate_alpha_core,
     check_core_dual,
@@ -38,7 +37,7 @@ from .game import (
     integrality_gap,
     parse_allocation,
 )
-from .graphs import load_graph
+from .graphs import CapExceededError, load_graph
 from .rationals import _echo, _parse_integer, format_rational
 
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import CapExceededError
-from .graphs import Edge, WeightedGraph, coalition, double_graph, edge_key
+from .graphs import CapExceededError, Edge, WeightedGraph, coalition, double_graph, edge_key
 from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
 from .rationals import HALF, ONE, ZERO, _fraction
 
@@ -53,7 +52,7 @@ class CoverCertificate:
 
 
 def cover_weight(g: WeightedGraph, values: EdgeVector) -> Fraction:
-    return Fraction(sum(g.weight(*e) * x for e, x in values.items() if x))
+    return Fraction(sum(g.weight(*e) * x for e, x in values.items() if _fraction(x)))
 
 
 def is_feasible_cover(g: WeightedGraph, values: EdgeVector) -> bool:
@@ -62,11 +61,11 @@ def is_feasible_cover(g: WeightedGraph, values: EdgeVector) -> bool:
 
 
 def _incident_total(g: WeightedGraph, values: EdgeVector, v: int) -> Fraction:
-    return sum(values[edge_key(v, u)] for u in g.neighbors(v))
+    return sum(_fraction(values[edge_key(v, u)]) for u in g.neighbors(v))
 
 
 def is_half_integral(values: EdgeVector) -> bool:
-    return all(x in (ZERO, HALF, ONE) for x in values.values())
+    return all(_fraction(x) in (ZERO, HALF, ONE) for x in values.values())
 
 
 def _shared(x: Fraction) -> Fraction:

@@ -3,10 +3,17 @@ dual-based allocation with its guaranteed fraction of the grand cost, the
 per-instance integrality gap, and odd-set membership verification.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
-members, drawn from the edges inside it or crossing its boundary. An
-allocation has the core property when no coalition is charged more than
-its own cost, which for this game is equivalent to feasibility for the
-dual packing LP."""
+members, drawn from the edges inside it or crossing its boundary, so every
+coalition has a finite cost. An allocation has the core property when no
+coalition is charged more than its own cost, which for this game is
+equivalent to feasibility for the dual packing LP.
+
+The paper charges S the cheapest edge cover of the induced subgraph G[S]
+instead. For nonnegative allocations, the only ones taken here, both cores
+are the allocations with a_u + a_v <= w_uv on every edge, and c(V) is the
+same because no edge leaves V. So alpha, the allocation, the grand cost,
+the ratio and every verdict are the paper's; only the cost of a proper
+coalition can differ."""
 
 from __future__ import annotations
 
@@ -21,8 +28,7 @@ from .covers import (
     _validated_half_integral_cover,
     min_edge_cover_exact,
 )
-from .errors import CapExceededError
-from .graphs import Edge, WeightedGraph, edge_key, shortest_odd_cycle
+from .graphs import CapExceededError, Edge, WeightedGraph, edge_key, shortest_odd_cycle
 from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
 
 Allocation = tuple[Fraction, ...]

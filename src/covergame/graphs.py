@@ -1,10 +1,11 @@
 """Weighted-graph arena: parsing, coalition combinatorics, bipartiteness,
 shortest odd cycles, and the bipartite doubling construction.
 
-``_bfs`` and ``_lex_shortest_path`` are the package's one BFS and one
-tie-broken path: the two-coloring, the odd-walk witnesses, the truncated
-odd-cycle search and the canonical rounding in ``covers`` all use them,
-most through ``_bfs_distances``, the distance map of a finished ``_bfs``.
+``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS
+and one tie-broken path: the two-coloring, the odd-walk witnesses, the
+truncated odd-cycle search and the canonical rounding in ``covers`` all use
+them. Both input-error types live here: ``GraphFormatError`` for graph
+text and ``CapExceededError`` for instances beyond a search budget.
 
 All types are immutable values after construction and every operation is a
 pure function, so everything here is safe to share across threads.
@@ -38,6 +39,10 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
         where = f" (line {line_no})" if line_no is not None else ""
         super().__init__(f"{kind}: {message}{where}")
+
+
+class CapExceededError(ValueError):
+    """An instance is too large for a configured exact-search or oracle budget."""
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -231,35 +236,22 @@ class BipartitenessReport:
     odd_closed_walk: tuple[int, ...] | None
 
 
-def _bfs(
+def _bfs_distances(
     neighbors: Callable[[_T], Iterable[_T]], source: _T, limit: float = math.inf
-) -> Iterator[tuple[_T, dict[_T, int]]]:
-    """Breadth-first search from source over the vertices at distance below
-    limit. Yields each vertex as it leaves the queue, in visiting order,
-    with the distance map built so far, which then holds every vertex of
-    its level and of the levels before, so a caller may stop at any vertex.
-    Only vertices whose neighbors lie below the limit are expanded."""
+) -> dict[_T, int]:
+    """Breadth-first distances from source that are below limit; the keys,
+    in visiting order, are the vertices within that distance. Only vertices
+    whose neighbors lie below the limit are expanded."""
     dist = {source: 0} if limit > 0 else {}
     queue = deque(dist)
     while queue:
         v = queue.popleft()
-        yield v, dist
         d = dist[v] + 1
         if d < limit:
             for u in neighbors(v):
                 if u not in dist:
                     dist[u] = d
                     queue.append(u)
-
-
-def _bfs_distances(
-    neighbors: Callable[[_T], Iterable[_T]], source: _T, limit: float = math.inf
-) -> dict[_T, int]:
-    """Breadth-first distances from source that are below limit; the keys,
-    in visiting order, are the vertices within that distance."""
-    dist: dict[_T, int] = {}
-    for _, dist in _bfs(neighbors, source, limit):
-        pass
     return dist
 
 
@@ -333,12 +325,12 @@ def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: float) -> int | No
     Every edge joins equal or adjacent BFS levels, so an odd closed walk
     through s uses an edge inside some level j and is at least 2j + 1 long;
     s -> x, x-y, y -> s gives 2k + 1 for the first level k that holds an
-    edge. Only levels k with 2k + 1 < bound are searched, and the search
-    stops at the first vertex, in visiting order, with a neighbor on its
-    own level: the levels before it and its own are known by then.
+    edge. The ball of levels k with 2k + 1 < bound is built, then scanned in
+    visiting order for the first vertex with a neighbor on its own level.
+    With no bound, the ball is s's whole component.
     """
-    for v, dist in _bfs(g.neighbors, s, (bound - 1) / 2):
-        k = dist[v]
+    dist = _bfs_distances(g.neighbors, s, (bound - 1) / 2)
+    for v, k in dist.items():
         if k in map(dist.get, g.neighbors(v)):  # a neighbor on its own level
             return 2 * k + 1
     return None

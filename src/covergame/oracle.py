@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError
 from .game import _validated_allocation
-from .graphs import WeightedGraph, coalition
+from .graphs import CapExceededError, WeightedGraph, coalition
 from .rationals import ZERO
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import deque
 from fractions import Fraction
@@ -153,6 +154,21 @@ def fraction_check_core_stars(g: WeightedGraph, allocation) -> tuple:
         if total > capacity:
             return False, (v, frozenset(members))
     return True, None
+
+
+def induced_min_cover(g: WeightedGraph, members) -> Fraction | None:
+    """The cost the paper gives a coalition S: the least weight of an edge
+    cover of the induced subgraph G[S], by trying every subset of E[S];
+    None when G[S] has an isolated vertex and so no cover."""
+    s = frozenset(members)
+    inside = [e for e in g.edges if e[0] in s and e[1] in s]
+    costs = [
+        sum((g.weight(*e) for e in chosen), Fraction(0))
+        for r in range(len(inside) + 1)
+        for chosen in itertools.combinations(inside, r)
+        if {v for e in chosen for v in e} == s
+    ]
+    return min(costs, default=None)
 
 
 def parity_distances(g: WeightedGraph, start: int, start_parity: int = 0) -> list[list[int]]:

@@ -4,6 +4,7 @@ canonicalization."""
 import itertools
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -313,6 +314,30 @@ class TestCanonicalization:
     def test_support_cycle_reporting_rejects_bad_vectors(self, g, values, message):
         with pytest.raises(ValueError, match=message):
             fractional_support_cycles(g, values)
+
+
+class TestReaders:
+    READERS = {
+        "cover_weight": cover_weight,
+        "is_feasible_cover": is_feasible_cover,
+        "is_half_integral": lambda g, values: is_half_integral(values),
+    }
+
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize("x", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+    def test_take_exact_numbers_only(self, reader, x):
+        g = triangle()
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            self.READERS[reader](g, {e: x for e in g.edges})
+
+    def test_take_ints_and_fractions(self):
+        g = triangle()
+        for x, weight, feasible, half in [(1, 3, True, True), (F(1, 2), F(3, 2), True, True),
+                                          (F(1, 3), 1, False, False), (0, 0, False, True)]:
+            values = {e: x for e in g.edges}
+            assert cover_weight(g, values) == weight
+            assert is_feasible_cover(g, values) is feasible
+            assert is_half_integral(values) is half
 
 
 class TestSharedConstants:

@@ -2,6 +2,7 @@
 and odd-set membership."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     cycle_graph,
     fraction_check_core_dual,
     fraction_check_core_stars,
+    induced_min_cover,
     path_graph,
     random_allocation,
     random_graph,
@@ -106,6 +108,32 @@ class TestCoalitionCost:
     def test_cap_error(self):
         with pytest.raises(CapExceededError):
             coalition_cost(triangle(), {0, 1, 2}, max_candidate_edges=1)
+
+    def test_core_and_grand_cost_match_the_induced_definition(self):
+        # c(S) here may also use the edges crossing S's boundary; the paper
+        # covers G[S] with E[S] alone, and S without such a cover sets no
+        # bound. For nonnegative allocations both cores are the allocations
+        # with a_u + a_v <= w_uv on every edge, and c(V) agrees because no
+        # edge leaves V.
+        rng = random.Random(71)
+        verdicts = Counter()
+        for _ in range(150):
+            g = random_graph(rng, max_vertices=6)
+            n = g.vertex_count
+            induced = {
+                mask: induced_min_cover(g, [v for v in range(n) if mask >> v & 1])
+                for mask in range(1, 1 << n)
+            }
+            assert induced[(1 << n) - 1] == coalition_cost(g, range(n))
+            dual = solve(dual_packing_lp(g)).values
+            for a in [dual] + [random_allocation(rng, g, dual) for _ in range(3)]:
+                in_core = all(
+                    cost is None or sum(a[v] for v in range(n) if mask >> v & 1) <= cost
+                    for mask, cost in induced.items()
+                )
+                assert brute_core_check(g, a)[0] == check_core_dual(g, a)[0] == in_core, (g.edges, a)
+                verdicts[in_core] += 1
+        assert verdicts[True] >= 100 and verdicts[False] >= 100, verdicts
 
 
 class TestCheckers:

@@ -375,14 +375,23 @@ class TestShortestOddCycle:
         assert shortest_odd_cycle(g).witness == (9, 10, 11, 9)
         assert walks == [9]
 
-    def test_odd_walk_search_stops_at_the_first_level_edge(self, monkeypatch):
-        # A triangle at 0 with a 40-edge tail: the walk 0-1-2-0 is found at
-        # vertex 1, so the tail is never reached.
-        g = WeightedGraph(43, [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(v, v + 1, 1) for v in range(2, 42)])
+    @pytest.mark.parametrize("at_end", [False, True], ids=["triangle-first", "triangle-last"])
+    def test_per_start_searches_stay_truncated(self, monkeypatch, at_end):
+        # A 203-vertex unit path with a triangle at one end. Once the first
+        # bound is 4, each start searches only its radius-1 ball, so the
+        # whole search makes O(n) neighbor calls; with no bound it makes
+        # about 350 per vertex.
+        n = 203
+        edges = [(v, v + 1, 1) for v in range(n - 1)] + [(0, 2, 1)]
+        if at_end:
+            edges = [(n - 1 - v, n - 1 - u, w) for u, v, w in edges]
+        g = WeightedGraph(n, edges)
         calls = []
         monkeypatch.setattr(WeightedGraph, "neighbors", lambda self, v: calls.append(v) or self._neighbors[v])
-        assert graphs._odd_closed_walk_through(g, 0, math.inf) == 3
-        assert calls == [0, 0, 1]  # checked and expanded, then checked
+        report = shortest_odd_cycle(g)
+        assert report.length == 3
+        assert report.witness == ((n - 3, n - 2, n - 1, n - 3) if at_end else (0, 1, 2, 0))
+        assert len(calls) < 12 * n
 
     def test_odd_walk_per_start_matches_parity_double_cover(self):
         # Under every bound b, the truncated search from s returns the

@@ -4,6 +4,7 @@ import copy
 import io
 import random
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -214,6 +215,27 @@ class TestExactness:
         assert solve(LinearProgram("min", (1,), (Constraint((2,), ">=", 1),))).values == (F(1, 2),)
         with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
             solve(LinearProgram("min", (F(1),), (Constraint((0.5,), ">=", F(1)),)))
+
+    @pytest.mark.parametrize("x", [0.5, "1/2", Decimal("0.5")], ids=["float", "str", "decimal"])
+    def test_records_take_exact_numbers_only(self, x):
+        # The records refuse them when built, before any solve.
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            Constraint((x,), ">=", 1)
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            Constraint((1,), ">=", x)
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            LinearProgram("min", (x,), ())
+
+    def test_records_hold_fractions_and_keep_the_callers(self):
+        third = F(1, 3)
+        con = Constraint((2, third), "<=", 1)
+        assert con.coeffs == (F(2), third) and con.coeffs[1] is third
+        assert all(type(a) is F for a in (*con.coeffs, con.rhs))
+        assert all(type(c) is F for c in LinearProgram("max", (1, F(1, 2)), (con,)).objective)
+        lp = fractional_cover_lp(triangle())
+        one, zero = lp_module.ONE, lp_module.ZERO
+        assert all(a is one or a is zero for con in lp.constraints for a in con.coeffs)
+        assert all(con.rhs is one for con in lp.constraints)
 
 
 class TestDualCertificate:
