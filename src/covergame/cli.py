@@ -24,8 +24,7 @@ from typing import Sequence
 from .covers import (
     EXACT_CANDIDATE_CAP,
     CoverCertificate,
-    canonicalize_to_odd_cycles,
-    fractional_support_cycles,
+    _canonical_form,
     half_integral_cover,
     min_edge_cover_exact,
 )
@@ -38,14 +37,14 @@ from .game import (
     parse_allocation,
 )
 from .graphs import CapExceededError, load_graph
-from .rationals import _echo, _parse_integer, format_rational
+from .rationals import _all_digits, _echo, _parse_integer, format_rational
 
 
 def _count(text: str) -> int:
     """argparse type of every numeric flag: ASCII digits only, so a bad
     value is a usage error. A number too long for ``int()`` is one too,
     quoted like any other bad token."""
-    if text.isascii() and text.isdigit():
+    if _all_digits(text):
         try:
             return int(text)
         except ValueError:  # more digits than the interpreter converts
@@ -103,8 +102,8 @@ def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
     cert, cycles = half_integral_cover(g), None
     if args.canonical:
         try:
-            cert = replace(cert, values=canonicalize_to_odd_cycles(g, cert.values))
-            cycles = fractional_support_cycles(g, cert.values)
+            values, cycles = _canonical_form(g, cert.values)
+            cert = replace(cert, values=values)
         except ValueError as exc:  # rejects the cover certified just above: a bug, not bad input
             raise RuntimeError(str(exc)) from exc
     return 0, *_cover_output(cert, cycles)

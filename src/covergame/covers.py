@@ -28,6 +28,7 @@ if TYPE_CHECKING:  # the LP module loads only when a cover is solved
 _SHARED = {x: x for x in (ZERO, HALF, ONE)}
 
 EdgeVector = dict[Edge, Fraction]
+_Cycles = tuple[tuple[int, ...], ...]  # closed vertex walks
 
 
 def __getattr__(name: str):
@@ -218,26 +219,6 @@ def half_integral_cover(
     return CoverCertificate("half-integral", values, weight, witness)
 
 
-def _half_support_components(g: WeightedGraph, values: EdgeVector) -> list[dict[int, list[int]]]:
-    """Connected components of the 1/2-valued support, as adjacency maps,
-    ordered by smallest vertex."""
-    adjacency: dict[int, list[int]] = {}
-    for u, v in g.edges:
-        if values[(u, v)] == HALF:
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
-    for v in adjacency:
-        adjacency[v].sort()
-    components = []
-    seen: set[int] = set()
-    for start in sorted(adjacency):
-        if start not in seen:
-            reached = _bfs_distances(adjacency.__getitem__, start)
-            seen.update(reached)
-            components.append({v: adjacency[v] for v in reached})
-    return components
-
-
 def _petals(adj: dict[int, list[int]], center: int) -> list[list[int]]:
     """Cycles through the center of a component whose other vertices all
     have degree two: each leaves the center toward its smallest unused
@@ -306,6 +287,46 @@ def _apply_alternating_round(
     return x
 
 
+def _support_pass(g: WeightedGraph, x: EdgeVector) -> tuple[list[int] | None, _Cycles]:
+    """One pass over the connected components of the 1/2-valued support, by
+    smallest vertex: the rounding walk of the first that is not a simple
+    odd cycle, else None and the odd cycles as closed vertex walks."""
+    adjacency: dict[int, list[int]] = {}
+    for u, v in g.edges:  # in sorted order, so each list comes out sorted
+        if x[(u, v)] == HALF:
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+    cycles = []
+    seen: set[int] = set()
+    for start in sorted(adjacency):
+        if start not in seen:
+            reached = _bfs_distances(adjacency.__getitem__, start)
+            seen.update(reached)
+            adj = {v: adjacency[v] for v in reached}
+            walk = _rounding_walk(g, x, adj)
+            if walk is not None:
+                return walk, ()
+            cycles.append(tuple(_petals(adj, start)[0]))
+    return None, tuple(cycles)
+
+
+def _canonical_form(g: WeightedGraph, values: EdgeVector) -> tuple[EdgeVector, _Cycles]:
+    """``canonicalize_to_odd_cycles`` with the odd cycles of its last pass."""
+    x = _validated_half_integral_cover(g, values)
+    optimum = _optimal_packing(g)[1]
+    if cover_weight(g, x) != optimum:
+        raise ValueError("vector is not an optimal fractional cover")
+
+    for _ in range(g.edge_count + 1):
+        walk, cycles = _support_pass(g, x)
+        if walk is None:
+            return x, cycles
+        x = _apply_alternating_round(g, x, walk)
+        if cover_weight(g, x) != optimum:
+            raise RuntimeError("rounding changed the cover weight")
+    raise RuntimeError("canonicalization failed to terminate")
+
+
 def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
     """Round an optimal half-integral cover until its fractional support is
     a disjoint union of vertex-disjoint odd cycles.
@@ -315,34 +336,16 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
     Every pass makes at least one more coordinate integral, which bounds
     the number of passes by the edge count.
     """
-    x = _validated_half_integral_cover(g, values)
-    optimum = _optimal_packing(g)[1]
-    if cover_weight(g, x) != optimum:
-        raise ValueError("vector is not an optimal fractional cover")
-
-    for _ in range(g.edge_count + 1):
-        walks = (_rounding_walk(g, x, adj) for adj in _half_support_components(g, x))
-        walk = next((w for w in walks if w is not None), None)
-        if walk is None:
-            return x
-        x = _apply_alternating_round(g, x, walk)
-        if cover_weight(g, x) != optimum:
-            raise RuntimeError("rounding changed the cover weight")
-    raise RuntimeError("canonicalization failed to terminate")
+    return _canonical_form(g, values)[0]
 
 
-def fractional_support_cycles(
-    g: WeightedGraph, values: EdgeVector
-) -> tuple[tuple[int, ...], ...]:
+def fractional_support_cycles(g: WeightedGraph, values: EdgeVector) -> _Cycles:
     """The odd cycles carrying the 1/2 entries of a canonical vector, as
     closed vertex walks ordered by smallest vertex. Raises ValueError
     unless the vector is a half-integral cover and ``_rounding_walk`` finds
     each 1/2-valued support component to be a simple odd cycle.
     """
-    x = _validated_half_integral_cover(g, values)
-    cycles = []
-    for adj in _half_support_components(g, x):
-        if _rounding_walk(g, x, adj) is not None:
-            raise ValueError("fractional support is not a disjoint union of odd cycles")
-        cycles.append(tuple(_petals(adj, min(adj))[0]))
-    return tuple(cycles)
+    walk, cycles = _support_pass(g, _validated_half_integral_cover(g, values))
+    if walk is not None:
+        raise ValueError("fractional support is not a disjoint union of odd cycles")
+    return cycles

@@ -33,6 +33,9 @@ from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant
 
 Allocation = tuple[Fraction, ...]
 
+# Most vertices whose 2^n odd sets ``verify_scaled_cover_membership`` walks.
+ODD_SET_CAP = 14
+
 
 def _validated_allocation(g: WeightedGraph, allocation: Sequence[Fraction]) -> Allocation:
     values = tuple(map(_fraction, allocation))
@@ -195,8 +198,9 @@ class GapReport:
 
     rho = 1 + 1/ell where ell is the shortest odd cycle length, or 1 on
     bipartite graphs. The witness weighting puts unit weights on one
-    shortest odd cycle, the instance family along which the gap is
-    attained."""
+    shortest odd cycle. The gap is attained on the subgraph that cycle
+    induces, the chordless cycle itself with unit weights; on G, zero-weight
+    edges off the cycle can cover its vertices for free."""
 
     ell: int | None
     rho: Fraction
@@ -215,24 +219,18 @@ def integrality_gap(g: WeightedGraph) -> GapReport:
 
 
 def verify_scaled_cover_membership(
-    g: WeightedGraph,
-    values: EdgeVector,
-    *,
-    scale: Fraction | None = None,
-    max_vertices: int = 14,
+    g: WeightedGraph, values: EdgeVector
 ) -> tuple[bool, frozenset[int] | None]:
-    """Check the scaled cover against every odd-set constraint.
-
-    For each odd-cardinality vertex set U the edges touching U must carry
-    scaled total at least ceil(|U|/2). The default scale is 1 + 1/ell (1 on
-    bipartite graphs); pass ``scale`` explicitly to test a raw vector.
-    Returns the first violated U in mask order, if any.
+    """Check the cover scaled by 1 + 1/ell (1 on bipartite graphs) against
+    every odd-set constraint: for each odd-cardinality vertex set U the
+    edges touching U must carry scaled total at least ceil(|U|/2). Returns
+    the first violated U in mask order, if any.
     """
     n = g.vertex_count
-    if n > max_vertices:
-        raise CapExceededError(f"{n} vertices exceed the odd-set enumeration cap of {max_vertices}")
+    if n > ODD_SET_CAP:
+        raise CapExceededError(f"{n} vertices exceed the odd-set enumeration cap of {ODD_SET_CAP}")
     x = _validated_half_integral_cover(g, values)
-    scale = integrality_gap(g).rho if scale is None else _fraction(scale)
+    scale = integrality_gap(g).rho
 
     edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
     edge_values = [x[e] for e in g.edges]
@@ -248,13 +246,11 @@ def verify_scaled_cover_membership(
     return True, None
 
 
-def exact_best_ratio(
-    g: WeightedGraph, *, max_candidate_edges: int = EXACT_CANDIDATE_CAP
-) -> Fraction:
+def exact_best_ratio(g: WeightedGraph) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
     covering alpha of the grand cost: fractional optimum over c(V)."""
     fractional = _optimal_packing(g)[1]
-    grand = coalition_cost(g, g.vertices(), max_candidate_edges=max_candidate_edges)
+    grand = coalition_cost(g, g.vertices())
     if grand == 0:
         raise ValueError("grand coalition cost is zero; the ratio is undefined")
     return fractional / grand

@@ -14,7 +14,7 @@ pure function, so everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -65,6 +65,7 @@ class WeightedGraph:
         if vertex_count <= 0:
             raise GraphFormatError("bad-header", "vertex count must be positive")
         weight: dict[Edge, Fraction] = {}
+        adjacency: defaultdict[int, list[int]] = defaultdict(list)
         for u, v, w in weighted_edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 message = f"edge ({_echo(u)}, {_echo(v)}) is out of range"
@@ -80,20 +81,17 @@ class WeightedGraph:
                 message = f"edge {_echo(e[0])}-{_echo(e[1])} has weight {_echo(w)}"
                 raise GraphFormatError("negative-weight", message)
             weight[e] = w
-        # Checked on the O(m) endpoint set before anything of size n exists:
-        # a header with n > 2m is rejected without allocating n slots.
-        touched = {v for e in weight for v in e}
-        if len(touched) < vertex_count:
-            v = next(v for v in range(vertex_count) if v not in touched)
-            raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
-        adjacency: list[list[int]] = [[] for _ in range(vertex_count)]
-        for u, v in weight:
             adjacency[u].append(v)
             adjacency[v].append(u)
+        # Checked on the O(m) endpoint map before anything of size n exists:
+        # a header with n > 2m is rejected without allocating n slots.
+        if len(adjacency) < vertex_count:
+            v = next(v for v in range(vertex_count) if v not in adjacency)
+            raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(sorted(weight))
         self._weight = weight
-        self._neighbors = tuple(tuple(sorted(adj)) for adj in adjacency)
+        self._neighbors = tuple(tuple(sorted(adjacency[v])) for v in range(vertex_count))
 
     @property
     def edge_count(self) -> int:

@@ -2,23 +2,22 @@
 
 Weights, cover values, and allocations travel through files and JSON as
 strings like "5/2" or "3"; decimal and exponent forms are rejected so no
-floating point can leak into the pipeline. Tokens take ASCII digits and
-an optional leading "-" only: no "+", "_", whitespace or other digits.
-Each integer part of a token is read by ``int``, so it may have at most
-the interpreter's int-to-str limit of digits (4300 by default). Graph and
-allocation files share one reader of their numbered lines. The module
-also holds the three constants that the other modules share, and the one
-conversion to Fraction, which refuses any number that is not exact.
+floating point can leak into the pipeline. ``_all_digits`` is the one
+digit rule, for each integer part of a token and each numeric CLI flag: a
+non-empty run of ASCII digits, so no "+", "_", whitespace or other digits;
+an integer token may start with one "-". Each part is read by ``int``, so
+it may have at most the interpreter's int-to-str limit of digits (4300 by
+default). Graph and allocation files share one reader of their numbered
+lines. The module also holds the three constants that the other modules
+share, and the one conversion to Fraction, which refuses any number that
+is not exact.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from numbers import Rational
 
-_INTEGER_RE = re.compile(r"-?[0-9]+")
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 _ECHO_LIMIT = 40
 
 # One object each for the values that covers, LP rows and allocations
@@ -52,9 +51,14 @@ def _echo(token: str | int | Fraction) -> str:
     return quote(token)
 
 
+def _all_digits(token: str) -> bool:
+    """True when the token is a non-empty run of ASCII digits."""
+    return token.isascii() and token.isdigit()
+
+
 def _parse_integer(token: str) -> int:
     """Parse an integer token; raises ValueError on anything else."""
-    if _INTEGER_RE.fullmatch(token) is None:
+    if not _all_digits(token.removeprefix("-")):
         raise ValueError(f"not an integer literal: {_echo(token)}")
     return int(token)
 
@@ -73,14 +77,13 @@ def parse_rational(token: str) -> Fraction:
 
     Raises ValueError on anything else, including decimals and "p/0".
     """
-    match = _RATIONAL_RE.fullmatch(token)
-    if match is None:
+    p, slash, q = token.partition("/")
+    if not (_all_digits(p.removeprefix("-")) and (not slash or _all_digits(q))):
         raise ValueError(f"not a rational literal: {_echo(token)}")
-    numerator = int(match.group(1))
-    denominator = int(match.group(2)) if match.group(2) else 1
+    numerator, denominator = int(p), int(q) if slash else 1
     if denominator == 0:
         raise ValueError(f"zero denominator: {_echo(token)}")
-    return Fraction(numerator, denominator)
+    return Fraction(numerator, denominator) if slash else Fraction(numerator)
 
 
 def format_rational(value: Fraction) -> str:

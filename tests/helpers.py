@@ -5,10 +5,36 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
 from covergame import LinearProgram, LpSolution, OddCycleReport, WeightedGraph, is_bipartite
+from covergame.rationals import _echo
+
+# The token rules as regexes: the reference the readers of ``rationals``
+# and the CLI's numeric flags are checked against.
+INTEGER_RE = re.compile(r"-?[0-9]+")
+RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def reference_parse_integer(token: str) -> int:
+    """An integer token read through INTEGER_RE; ValueError otherwise."""
+    if INTEGER_RE.fullmatch(token) is None:
+        raise ValueError(f"not an integer literal: {_echo(token)}")
+    return int(token)
+
+
+def reference_parse_rational(token: str) -> Fraction:
+    """A "p" or "p/q" token read through RATIONAL_RE; ValueError otherwise."""
+    match = RATIONAL_RE.fullmatch(token)
+    if match is None:
+        raise ValueError(f"not a rational literal: {_echo(token)}")
+    numerator = int(match.group(1))
+    denominator = int(match.group(2)) if match.group(2) else 1
+    if denominator == 0:
+        raise ValueError(f"zero denominator: {_echo(token)}")
+    return Fraction(numerator, denominator)
 
 
 def cycle_graph(k: int, weight=Fraction(1)) -> WeightedGraph:

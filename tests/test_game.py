@@ -20,6 +20,7 @@ from helpers import (
 
 from covergame import (
     CapExceededError,
+    GapReport,
     WeightedGraph,
     allocate_alpha_core,
     brute_core_check,
@@ -34,6 +35,7 @@ from covergame import (
     solve,
     verify_scaled_cover_membership,
 )
+from covergame.game import ODD_SET_CAP
 
 F = Fraction
 HALF = F(1, 2)
@@ -290,6 +292,21 @@ class TestGap:
         assert all(report.witness_weights[e] == (1 if e in cycle_edges else 0)
                    for e in cycle_graph(5).edges)
 
+    def test_gap_is_attained_on_the_induced_cycle(self):
+        # On G itself zero-weight edges off the cycle can cover it for free;
+        # the subgraph the cycle induces, with unit weights, attains the gap.
+        rng = random.Random(5)
+        for _ in range(60):
+            g = random_nonbipartite_graph(rng, max_vertices=12, max_extra_edges=2)
+            report = integrality_gap(g)
+            ell, label = report.ell, {v: i for i, v in enumerate(report.cycle[:-1])}
+            assert len(label) == ell and report.cycle[0] == report.cycle[-1]
+            induced = [(label[u], label[v], 1) for u, v in g.edges if u in label and v in label]
+            assert len(induced) == ell
+            h = WeightedGraph(ell, induced)
+            assert exact_best_ratio(h) == F(ell, ell + 1)
+            assert allocate_alpha_core(h).ratio == F(ell, ell + 1)
+
 
 class TestScaledMembership:
     def test_triangle_scaled_passes(self):
@@ -297,18 +314,15 @@ class TestScaledMembership:
         xt = {e: HALF for e in g.edges}
         assert verify_scaled_cover_membership(g, xt) == (True, None)
 
-    def test_triangle_unscaled_fails_at_grand_set(self):
+    def test_triangle_unscaled_fails_at_grand_set(self, monkeypatch):
+        # Scaled by 1 + 1/ell, every feasible half-integral cover passes, so
+        # only a gap of rho = 1 reaches the violation branch.
+        no_gap = GapReport(None, F(1), None, None)
+        monkeypatch.setattr("covergame.game.integrality_gap", lambda g: no_gap)
         g = triangle()
         xt = {e: HALF for e in g.edges}
-        ok, witness = verify_scaled_cover_membership(g, xt, scale=F(1))
+        ok, witness = verify_scaled_cover_membership(g, xt)
         assert not ok and witness == frozenset({0, 1, 2})
-
-    def test_scale_takes_exact_numbers_only(self):
-        g = triangle()
-        xt = {e: HALF for e in g.edges}
-        assert verify_scaled_cover_membership(g, xt, scale=2) == (True, None)
-        with pytest.raises(TypeError, match="expected an int or a Fraction, not float"):
-            verify_scaled_cover_membership(g, xt, scale=4 / 3)
 
     def test_bipartite_integral_scale_one(self):
         g = cycle_graph(6)
@@ -316,9 +330,10 @@ class TestScaledMembership:
         assert verify_scaled_cover_membership(g, cert.values) == (True, None)
 
     def test_cap(self):
-        g = cycle_graph(5)
-        with pytest.raises(CapExceededError):
-            verify_scaled_cover_membership(g, {e: HALF for e in g.edges}, max_vertices=4)
+        g = cycle_graph(ODD_SET_CAP + 1)
+        message = "^15 vertices exceed the odd-set enumeration cap of 14$"
+        with pytest.raises(CapExceededError, match=message):
+            verify_scaled_cover_membership(g, {e: HALF for e in g.edges})
 
     def test_infeasible_vector_rejected(self):
         g = path_graph([1, 1])
