@@ -225,6 +225,15 @@ def verify_scaled_cover_membership(
     every odd-set constraint: for each odd-cardinality vertex set U the
     edges touching U must carry scaled total at least ceil(|U|/2). Returns
     the first violated U in mask order, if any.
+
+    On every vector it accepts the answer is (True, None): scaled by
+    1 + 1/ell, every feasible half-integral cover meets every odd-set row,
+    canonical or not. The touching total of U is at least |U|/2, and
+    exactly |U|/2 only if every vertex of U has total 1 and no edge with a
+    positive value leaves U. Then U's 1/2-edges form vertex-disjoint cycles
+    on an odd number of vertices, so one of them is an odd cycle of length
+    at most |U|, and (1 + 1/ell) |U|/2 >= (|U| + 1)/2. The 2^n walk stays
+    as an independent check of that fact, sharing no logic with the proof.
     """
     n = g.vertex_count
     if n > ODD_SET_CAP:

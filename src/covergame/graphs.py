@@ -7,20 +7,25 @@ truncated odd-cycle search and the canonical rounding in ``covers`` all use
 them. Both input-error types live here: ``GraphFormatError`` for graph
 text and ``CapExceededError`` for instances beyond a search budget.
 
-All types are immutable values after construction and every operation is a
-pure function, so everything here is safe to share across threads.
+Every operation is a pure function, and a graph's vertices, edges and
+weights never change after construction. Its adjacency tuples are built
+later, once, on the first ``neighbors`` or ``degree`` call, from the edge
+list alone. That build is idempotent: two threads that race build equal
+tuples and either may be kept, so sharing a graph across threads stays
+safe.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .rationals import _echo, _fraction, _parse_integer, _significant_lines, parse_rational
+from .rationals import HALF, ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines
+from .rationals import parse_rational
 
 Edge = tuple[int, int]
 _T = TypeVar("_T")
@@ -56,7 +61,8 @@ class WeightedGraph:
     Enforced invariants: no loops, no parallel edges, every weight >= 0, and
     minimum degree >= 1 (so an edge cover exists for every coalition). This
     constructor is the only place these facts are checked; ``parse_graph``
-    feeds it and only adds line numbers.
+    feeds it and only adds line numbers. The neighbor tuples are built on
+    first read, so a graph that is never traversed holds none.
     """
 
     __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
@@ -65,7 +71,7 @@ class WeightedGraph:
         if vertex_count <= 0:
             raise GraphFormatError("bad-header", "vertex count must be positive")
         weight: dict[Edge, Fraction] = {}
-        adjacency: defaultdict[int, list[int]] = defaultdict(list)
+        ends: set[int] = set()
         for u, v, w in weighted_edges:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 message = f"edge ({_echo(u)}, {_echo(v)}) is out of range"
@@ -81,17 +87,30 @@ class WeightedGraph:
                 message = f"edge {_echo(e[0])}-{_echo(e[1])} has weight {_echo(w)}"
                 raise GraphFormatError("negative-weight", message)
             weight[e] = w
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        # Checked on the O(m) endpoint map before anything of size n exists:
+            ends.update(e)
+        # Checked on the O(m) endpoint set before anything of size n exists:
         # a header with n > 2m is rejected without allocating n slots.
-        if len(adjacency) < vertex_count:
-            v = next(v for v in range(vertex_count) if v not in adjacency)
+        if len(ends) < vertex_count:
+            v = next(v for v in range(vertex_count) if v not in ends)
             raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
         self.vertex_count = vertex_count
         self.edges: tuple[Edge, ...] = tuple(sorted(weight))
         self._weight = weight
-        self._neighbors = tuple(tuple(sorted(adjacency[v])) for v in range(vertex_count))
+
+    def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
+        # Python calls this only when normal lookup fails, so it builds the
+        # tuples only while the _neighbors slot is unset; later reads take
+        # the slot directly. The edges are sorted, so v's lower neighbors
+        # arrive in order before its higher ones and each list comes out
+        # sorted.
+        if name != "_neighbors":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for u, v in self.edges:
+            adjacency[u].append(v)
+            adjacency[v].append(u)
+        self._neighbors = tuple(tuple(a) for a in adjacency)
+        return self._neighbors
 
     @property
     def edge_count(self) -> int:
@@ -123,7 +142,8 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
     0 <= u < v < n and w a nonnegative integer or "p/q" fraction. Lines
     starting with ``#``, blank lines and a leading byte-order mark are
     ignored. Violations raise GraphFormatError with a line number and a
-    distinct error kind.
+    distinct error kind. Edges with equal weight tokens share one Fraction,
+    and the tokens "0", "1" and "1/2" give ``ZERO``, ``ONE`` and ``HALF``.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
@@ -151,6 +171,9 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
     # Only the text format is checked here. The constructor checks the graph
     # and its errors get the number of the line being read.
     line_no = header_no
+    # One Fraction per distinct weight token in this text, keyed by the
+    # token: hashing a str is cheaper than hashing a Fraction.
+    weights = {"0": ZERO, "1": ONE, "1/2": HALF}
 
     def weighted_edges() -> Iterable[tuple[int, int, Fraction]]:
         nonlocal line_no
@@ -164,10 +187,12 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
                 raise GraphFormatError("malformed", "vertex ids must be integers", line_no) from None
             if u > v:
                 raise GraphFormatError("malformed", "edges must be written with u < v", line_no)
-            try:
-                w = parse_rational(parts[2])
-            except ValueError:
-                raise GraphFormatError("malformed", f"bad weight {_echo(parts[2])}", line_no) from None
+            w = weights.get(parts[2])
+            if w is None:
+                try:
+                    w = weights[parts[2]] = parse_rational(parts[2])
+                except ValueError:
+                    raise GraphFormatError("malformed", f"bad weight {_echo(parts[2])}", line_no) from None
             yield u, v, w
         line_no = header_no  # the checks after the last edge are about the header
 

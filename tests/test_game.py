@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from helpers import (
     cycle_graph,
+    disjoint_union,
     fraction_check_core_dual,
     fraction_check_core_stars,
     induced_min_cover,
@@ -339,6 +340,33 @@ class TestScaledMembership:
         g = path_graph([1, 1])
         with pytest.raises(ValueError):
             verify_scaled_cover_membership(g, {e: HALF for e in g.edges})
+
+    def test_every_feasible_half_integral_cover_passes(self):
+        # Scaled by 1 + 1/ell, no feasible half-integral cover misses an
+        # odd-set row, whether or not its halves form disjoint odd cycles.
+        # Every fifth graph starts with an odd k-cycle of halves, whose
+        # vertex set is tight: total k/2, so it passes only once scaled.
+        from covergame import fractional_support_cycles
+
+        rng = random.Random(3)
+        non_canonical = 0
+        for i in range(500):
+            g = random_graph(rng, max_vertices=9, min_vertices=3, max_extra_edges=6)
+            x = {e: rng.choice((F(0), HALF, HALF, HALF, F(1))) for e in g.edges}
+            if i % 5 == 0:
+                k = rng.choice((3, 5, 7))
+                g = disjoint_union(cycle_graph(k), random_graph(rng, max_vertices=9 - k))
+                x = {e: HALF if e[1] < k else rng.choice((F(0), HALF, F(1))) for e in g.edges}
+            for v in g.vertices():
+                while sum(x[tuple(sorted((u, v)))] for u in g.neighbors(v)) < 1:
+                    e = tuple(sorted((rng.choice(g.neighbors(v)), v)))
+                    x[e] = min(F(1), x[e] + HALF)
+            try:
+                fractional_support_cycles(g, x)
+            except ValueError:
+                non_canonical += 1
+            assert verify_scaled_cover_membership(g, x) == (True, None), (g, x)
+        assert non_canonical >= 250
 
     def test_random_corpus_up_to_ten_vertices(self):
         from covergame import canonicalize_to_odd_cycles

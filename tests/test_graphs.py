@@ -1,9 +1,12 @@
 """Graph parsing, coalition combinatorics, bipartiteness, shortest odd
 cycles, and the doubling construction."""
 
+import copy
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
@@ -28,19 +31,35 @@ from covergame import (
     GraphFormatError,
     WeightedGraph,
     boundary,
+    coalition_cost,
+    covers,
     double_graph,
+    dual_packing_lp,
     edge_key,
     edges_within,
+    fractional_cover_lp,
     graphs,
     half_integral_cover,
     is_bipartite,
+    min_edge_cover_exact,
     parse_graph,
     parse_rational,
     shortest_odd_cycle,
     star_edges,
 )
+from covergame.rationals import HALF, ONE, ZERO
 
 TRIANGLE_TEXT = "3 3\n0 1 1\n1 2 1\n0 2 1\n"
+
+
+def adjacency_built(g: WeightedGraph) -> bool:
+    """Whether g's neighbor tuples exist, read from the slot itself so that
+    asking does not build them."""
+    try:
+        WeightedGraph._neighbors.__get__(g)
+    except AttributeError:
+        return False
+    return True
 
 
 def enumerate_shortest_odd_cycle(g):
@@ -207,6 +226,121 @@ class TestParsing:
 
     def test_repr(self):
         assert repr(parse_graph(TRIANGLE_TEXT)) == "WeightedGraph(n=3, m=3)"
+
+
+class TestWeightSharing:
+    def test_equal_tokens_share_one_object(self):
+        g = parse_graph("4 4\n0 1 7/3\n1 2 7/3\n2 3 5\n0 3 5\n")
+        assert g.weight(0, 1) is g.weight(1, 2) == Fraction(7, 3)
+        assert g.weight(2, 3) is g.weight(0, 3) == 5
+
+    def test_common_tokens_are_the_shared_constants(self):
+        g = parse_graph("4 3\n0 1 0\n1 2 1\n2 3 1/2\n")
+        assert g.weight(0, 1) is ZERO
+        assert g.weight(1, 2) is ONE
+        assert g.weight(2, 3) is HALF
+
+    def test_unreduced_token_keeps_its_value(self):
+        g = parse_graph("3 2\n0 1 2/4\n1 2 1/2\n")
+        assert g.weight(0, 1) == HALF
+        assert g.weight(1, 2) is HALF
+
+    def test_repeated_bad_weight_fails_at_its_first_line(self):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph("3 3\n0 1 1\n1 2 1/0\n0 2 1/0\n")
+        assert str(err.value) == "malformed: bad weight '1/0' (line 3)"
+
+
+class TestLazyAdjacency:
+    def test_untraversed_paths_leave_it_unbuilt(self):
+        g = parse_graph(TRIANGLE_TEXT)
+        assert not adjacency_built(g)
+        coalition_cost(g, [0, 1])
+        min_edge_cover_exact(g)
+        fractional_cover_lp(g)
+        dual_packing_lp(g)
+        assert not adjacency_built(g)
+
+    def test_double_in_half_integral_cover_leaves_it_unbuilt(self, monkeypatch):
+        doubles = []
+        monkeypatch.setattr(
+            covers, "double_graph", lambda g: doubles.append(double_graph(g)) or doubles[-1]
+        )
+        g = cycle_graph(5)
+        half_integral_cover(g)
+        assert len(doubles) == 1
+        assert not adjacency_built(doubles[0].graph)
+        assert adjacency_built(g)  # the two-coloring traverses g itself
+
+    def test_first_read_builds_it_once(self):
+        g = parse_graph(TRIANGLE_TEXT)
+        assert g.degree(2) == 2
+        assert adjacency_built(g)
+        built = WeightedGraph._neighbors.__get__(g)
+        assert g.neighbors(0) == (1, 2)
+        assert WeightedGraph._neighbors.__get__(g) is built
+
+    def test_matches_reference_from_edge_list(self):
+        # Graphs built from their edges in a random order, endpoints in
+        # either order, so the sorted neighbor lists do not lean on the
+        # input order.
+        rng = random.Random(71)
+        corpus = [random_graph(rng, max_vertices=12, max_extra_edges=8) for _ in range(150)]
+        corpus += [random_bipartite_graph(rng, max_vertices=12) for _ in range(50)]
+        corpus += [disjoint_union(*(random_graph(rng, max_vertices=6) for _ in range(3)))
+                   for _ in range(20)]
+        for h in corpus:
+            edges = [(v, u, h.weight(u, v)) if rng.random() < 0.5 else (u, v, h.weight(u, v))
+                     for u, v in h.edges]
+            rng.shuffle(edges)
+            g = WeightedGraph(h.vertex_count, edges)
+            for v in g.vertices():
+                expected = tuple(sorted(u for u in g.vertices() if g.has_edge(u, v)))
+                assert g.neighbors(v) == expected, (g, v)
+                assert g.degree(v) == len(expected), (g, v)
+
+    def test_threads_racing_on_the_first_read_agree(self):
+        # The build is check-then-act without a lock; it is safe because
+        # every racing thread builds equal tuples from the same edges.
+        rng = random.Random(29)
+        corpus = [random_graph(rng, max_vertices=40, max_extra_edges=30) for _ in range(40)]
+        expected = [[tuple(u for u in h.vertices() if h.has_edge(u, x)) for x in h.vertices()]
+                    for h in corpus]
+        fresh = [WeightedGraph(h.vertex_count, [(u, v, h.weight(u, v)) for u, v in h.edges])
+                 for h in corpus]
+        seen = []
+
+        def read_all():
+            seen.append([[g.neighbors(x) for x in g.vertices()] for g in fresh])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=read_all) for _ in range(8)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert seen == [expected] * len(workers)
+
+    def test_missing_attribute_is_still_missing(self):
+        g = parse_graph(TRIANGLE_TEXT)
+        assert not hasattr(g, "missing")
+        message = "^'WeightedGraph' object has no attribute 'missing'$"
+        with pytest.raises(AttributeError, match=message):
+            g.missing
+        assert not adjacency_built(g)
+
+    def test_copy(self):
+        g = parse_graph(TRIANGLE_TEXT)
+        h = copy.copy(g)
+        assert h is not g
+        assert (h.vertex_count, h.edges) == (g.vertex_count, g.edges)
+        assert [h.weight(*e) for e in h.edges] == [g.weight(*e) for e in g.edges]
+        assert [h.neighbors(v) for v in h.vertices()] == [(1, 2), (0, 2), (0, 1)]
 
 
 class TestCoalitionEdges:
