@@ -14,7 +14,7 @@ solver or the oracles never pays for importing them.
 
 from importlib import import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
@@ -26,9 +26,9 @@ _EXPORTS = {
         "game": """Allocation AllocationReport GapReport allocate_alpha_core check_core_dual
             check_core_stars coalition_cost exact_best_ratio integrality_gap
             parse_allocation verify_scaled_cover_membership""",
-        "graphs": """BipartitenessReport CapExceededError DoubledGraph Edge GraphFormatError
-            OddCycleReport WeightedGraph boundary coalition double_graph edge_key edges_within
-            is_bipartite load_graph parse_graph shortest_odd_cycle star_edges""",
+        "graphs": """CapExceededError DoubledGraph Edge GraphFormatError OddCycleReport
+            WeightedGraph coalition double_graph edge_key load_graph parse_graph
+            shortest_odd_cycle""",
         "lp": "Constraint LinearProgram LpSolution dual_packing_lp fractional_cover_lp solve",
         "oracle": "OracleBudget brute_core_check brute_fractional_optimum brute_min_cover",
         "rationals": "format_rational parse_rational",

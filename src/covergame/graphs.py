@@ -1,18 +1,17 @@
-"""Weighted-graph arena: parsing, coalition combinatorics, bipartiteness,
+"""Weighted-graph arena: parsing, coalition validation, the two-coloring,
 shortest odd cycles, and the bipartite doubling construction.
 
 ``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS
-and one tie-broken path: the two-coloring, the odd-walk witnesses, the
+and one tie-broken path: the two-coloring, the odd-walk witness, the
 truncated odd-cycle search and the canonical rounding in ``covers`` all use
 them. Both input-error types live here: ``GraphFormatError`` for graph
 text and ``CapExceededError`` for instances beyond a search budget.
 
 Every operation is a pure function, and a graph's vertices, edges and
 weights never change after construction. Its adjacency tuples are built
-later, once, on the first ``neighbors`` or ``degree`` call, from the edge
-list alone. That build is idempotent: two threads that race build equal
-tuples and either may be kept, so sharing a graph across threads stays
-safe.
+later, once, on the first ``neighbors`` call, from the edge list alone.
+That build is idempotent: two threads that race build equal tuples and
+either may be kept, so sharing a graph across threads stays safe.
 """
 
 from __future__ import annotations
@@ -61,8 +60,10 @@ class WeightedGraph:
     Enforced invariants: no loops, no parallel edges, every weight >= 0, and
     minimum degree >= 1 (so an edge cover exists for every coalition). This
     constructor is the only place these facts are checked; ``parse_graph``
-    feeds it and only adds line numbers. The neighbor tuples are built on
-    first read, so a graph that is never traversed holds none.
+    feeds it and only adds line numbers. ``edges`` holds the sorted edge
+    keys, and ``neighbors(v)`` the sorted neighbors of v, so its length is
+    v's degree. The neighbor tuples are built on first read, so a graph
+    that is never traversed holds none.
     """
 
     __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
@@ -119,23 +120,17 @@ class WeightedGraph:
     def vertices(self) -> range:
         return range(self.vertex_count)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return edge_key(u, v) in self._weight
-
     def weight(self, u: int, v: int) -> Fraction:
         return self._weight[edge_key(u, v)]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neighbors[v]
 
-    def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
-
     def __repr__(self) -> str:
         return f"WeightedGraph(n={self.vertex_count}, m={self.edge_count})"
 
 
-def parse_graph(source: str | bytes) -> WeightedGraph:
+def parse_graph(source: str) -> WeightedGraph:
     """Parse the text graph format.
 
     Line 1 holds ``n m``; the next ``m`` lines hold ``u v w`` with
@@ -145,8 +140,6 @@ def parse_graph(source: str | bytes) -> WeightedGraph:
     distinct error kind. Edges with equal weight tokens share one Fraction,
     and the tokens "0", "1" and "1/2" give ``ZERO``, ``ONE`` and ``HALF``.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
     significant = _significant_lines(source)
     if not significant:
         raise GraphFormatError("bad-header", "empty input")
@@ -220,45 +213,6 @@ def coalition(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:
     return s
 
 
-def edges_within(g: WeightedGraph, members: Iterable[int]) -> tuple[Edge, ...]:
-    """E[S]: the edges whose both endpoints lie in the coalition."""
-    s = coalition(g, members)
-    return tuple(e for e in g.edges if e[0] in s and e[1] in s)
-
-
-def boundary(g: WeightedGraph, members: Iterable[int]) -> tuple[Edge, ...]:
-    """delta(S): the edges incident to exactly one coalition vertex."""
-    s = coalition(g, members)
-    return tuple(e for e in g.edges if (e[0] in s) != (e[1] in s))
-
-
-def star_edges(g: WeightedGraph, center: int, members: Iterable[int]) -> tuple[Edge, ...]:
-    """delta(v, T): the edges between a center and a nonempty set of its neighbors."""
-    if not (0 <= center < g.vertex_count):
-        raise ValueError(f"star center {_echo(center)} is not a vertex")
-    t = frozenset(members)
-    if not t:
-        raise ValueError("star must have at least one member")
-    neighborhood = set(g.neighbors(center))
-    for u in t:
-        if u not in neighborhood:
-            raise ValueError(f"star member {_echo(u)} is not adjacent to center {_echo(center)}")
-    return tuple(sorted(edge_key(center, u) for u in t))
-
-
-@dataclass(frozen=True)
-class BipartitenessReport:
-    """Outcome of a two-coloring attempt.
-
-    Either a proper 0/1 coloring, or a closed walk of odd length witnessing
-    that no such coloring exists.
-    """
-
-    bipartite: bool
-    coloring: tuple[int, ...] | None
-    odd_closed_walk: tuple[int, ...] | None
-
-
 def _bfs_distances(
     neighbors: Callable[[_T], Iterable[_T]], source: _T, limit: float = math.inf
 ) -> dict[_T, int]:
@@ -319,15 +273,6 @@ def _two_coloring(g: WeightedGraph) -> tuple[list[int], int | None]:
             if any(color[u] == color[v] for u in g.neighbors(v)):
                 return color, v
     return color, None
-
-
-def is_bipartite(g: WeightedGraph) -> BipartitenessReport:
-    """Two-color the graph or exhibit an odd closed walk: the shortest one
-    through the first conflict vertex of ``_two_coloring``."""
-    color, conflict = _two_coloring(g)
-    if conflict is None:
-        return BipartitenessReport(True, tuple(color), None)
-    return BipartitenessReport(False, None, _odd_walk_through(g, conflict))
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,16 @@ from .rationals import ZERO
 class OracleBudget:
     max_cover_edges: int = 20
     max_coalition_vertices: int = 12
-    max_grid_edges: int = 12
 
     def __post_init__(self):
-        if min(self.max_cover_edges, self.max_coalition_vertices, self.max_grid_edges) <= 0:
+        if min(self.max_cover_edges, self.max_coalition_vertices) <= 0:
             raise ValueError("oracle budgets must be positive")
 
 
 DEFAULT_BUDGET = OracleBudget()
+
+# Most edges whose 3^m grid points ``brute_fractional_optimum`` walks.
+GRID_EDGE_CAP = 12
 
 
 def brute_min_cover(
@@ -78,9 +80,7 @@ def brute_min_cover(
     return best
 
 
-def brute_fractional_optimum(
-    g: WeightedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> Fraction:
+def brute_fractional_optimum(g: WeightedGraph) -> Fraction:
     """Minimum fractional cover weight over the full {0, 1/2, 1}^m grid.
 
     Valid as an LP oracle because some optimal fractional cover is
@@ -89,8 +89,8 @@ def brute_fractional_optimum(
     Fractions, and the best weight is halved at the end.
     """
     m = g.edge_count
-    if m > budget.max_grid_edges:
-        raise CapExceededError(f"{m} edges exceed the grid oracle budget of {budget.max_grid_edges}")
+    if m > GRID_EDGE_CAP:
+        raise CapExceededError(f"{m} edges exceed the grid oracle budget of {GRID_EDGE_CAP}")
     incident = [
         tuple(j for j, e in enumerate(g.edges) if v in e) for v in range(g.vertex_count)
     ]

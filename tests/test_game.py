@@ -79,11 +79,11 @@ def _checker_corpus(seed: int, graphs: int):
         edge[u] = g.weight(u, v) - core[v] + eps
         yield g, edge
 
-        centers = [v for v in range(n) if g.degree(v) >= 2]
+        centers = [v for v in range(n) if len(g.neighbors(v)) >= 2]
         if centers:
             v = rng.choice(centers)
             star = list(core)
-            for u in rng.sample(g.neighbors(v), rng.randint(2, g.degree(v))):
+            for u in rng.sample(g.neighbors(v), rng.randint(2, len(g.neighbors(v)))):
                 star[u] = g.weight(u, v) + eps
             yield g, star
 

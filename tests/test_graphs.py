@@ -1,4 +1,4 @@
-"""Graph parsing, coalition combinatorics, bipartiteness, shortest odd
+"""Graph parsing, coalition validation, the two-coloring, shortest odd
 cycles, and the doubling construction."""
 
 import copy
@@ -23,29 +23,26 @@ from helpers import (
     random_bipartite_graph,
     random_graph,
     random_nonbipartite_graph,
-    star_graph,
     triangle,
 )
 
 from covergame import (
+    CapExceededError,
     GraphFormatError,
     WeightedGraph,
-    boundary,
+    coalition,
     coalition_cost,
     covers,
     double_graph,
     dual_packing_lp,
     edge_key,
-    edges_within,
     fractional_cover_lp,
     graphs,
     half_integral_cover,
-    is_bipartite,
     min_edge_cover_exact,
     parse_graph,
     parse_rational,
     shortest_odd_cycle,
-    star_edges,
 )
 from covergame.rationals import HALF, ONE, ZERO
 
@@ -62,6 +59,12 @@ def adjacency_built(g: WeightedGraph) -> bool:
     return True
 
 
+def is_walk(g: WeightedGraph, walk) -> bool:
+    """Whether consecutive vertices of walk are joined by edges of g."""
+    edges = set(g.edges)
+    return all(edge_key(a, b) in edges for a, b in zip(walk, walk[1:]))
+
+
 def enumerate_shortest_odd_cycle(g):
     """Exhaustive oracle: smallest odd k admitting a simple k-cycle."""
     n = g.vertex_count
@@ -71,7 +74,7 @@ def enumerate_shortest_odd_cycle(g):
                 if perm[0] > perm[-1]:
                     continue  # skip reflections
                 cycle = (combo[0],) + perm
-                if all(g.has_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k)):
+                if is_walk(g, cycle + cycle[:1]):
                     return k
     return None
 
@@ -88,13 +91,14 @@ class TestParsing:
         assert g.weight(0, 1) == Fraction(5, 2)
 
     def test_bytes_comments_and_blanks(self):
-        g = parse_graph(b"# a triangle\n\n3 3\n0 1 1\n# middle comment\n1 2 1\n0 2 1\n\n")
-        assert g.edge_count == 3
+        text = "# a triangle\n\n3 3\n0 1 1\n# middle comment\n1 2 1\n0 2 1\n\n"
+        assert parse_graph(text).edge_count == 3
+        with pytest.raises(TypeError):  # text only: decode bytes first
+            parse_graph(text.encode("utf-8"))
 
     def test_leading_byte_order_mark(self):
         expected = parse_graph(TRIANGLE_TEXT)
-        for source in ("\ufeff" + TRIANGLE_TEXT, "\ufeff# c\n" + TRIANGLE_TEXT,
-                       TRIANGLE_TEXT.encode("utf-8-sig")):
+        for source in ("\ufeff" + TRIANGLE_TEXT, "\ufeff# c\n" + TRIANGLE_TEXT):
             g = parse_graph(source)
             assert g.edges == expected.edges
             assert all(g.weight(*e) == 1 for e in g.edges)
@@ -274,7 +278,7 @@ class TestLazyAdjacency:
 
     def test_first_read_builds_it_once(self):
         g = parse_graph(TRIANGLE_TEXT)
-        assert g.degree(2) == 2
+        assert len(g.neighbors(2)) == 2
         assert adjacency_built(g)
         built = WeightedGraph._neighbors.__get__(g)
         assert g.neighbors(0) == (1, 2)
@@ -295,17 +299,16 @@ class TestLazyAdjacency:
             rng.shuffle(edges)
             g = WeightedGraph(h.vertex_count, edges)
             for v in g.vertices():
-                expected = tuple(sorted(u for u in g.vertices() if g.has_edge(u, v)))
+                expected = tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
                 assert g.neighbors(v) == expected, (g, v)
-                assert g.degree(v) == len(expected), (g, v)
 
     def test_threads_racing_on_the_first_read_agree(self):
         # The build is check-then-act without a lock; it is safe because
         # every racing thread builds equal tuples from the same edges.
         rng = random.Random(29)
         corpus = [random_graph(rng, max_vertices=40, max_extra_edges=30) for _ in range(40)]
-        expected = [[tuple(u for u in h.vertices() if h.has_edge(u, x)) for x in h.vertices()]
-                    for h in corpus]
+        expected = [[tuple(sorted(u for e in h.edges if x in e for u in e if u != x))
+                     for x in h.vertices()] for h in corpus]
         fresh = [WeightedGraph(h.vertex_count, [(u, v, h.weight(u, v)) for u, v in h.edges])
                  for h in corpus]
         seen = []
@@ -344,111 +347,88 @@ class TestLazyAdjacency:
 
 
 class TestCoalitionEdges:
-    def test_edges_within_triangle(self):
-        g = triangle()
-        assert edges_within(g, {0, 1}) == ((0, 1),)
-        assert edges_within(g, {0, 1, 2}) == ((0, 1), (0, 2), (1, 2))
-
-    def test_edges_within_path_endpoints(self):
-        g = path_graph([1, 1])
-        assert edges_within(g, {0, 2}) == ()
-
-    def test_boundary(self):
-        g = triangle()
-        assert boundary(g, {0}) == ((0, 1), (0, 2))
-        assert boundary(g, {0, 1, 2}) == ()
-        assert boundary(path_graph([1, 1]), {1}) == ((0, 1), (1, 2))
-
     def test_empty_coalition_rejected(self):
-        with pytest.raises(ValueError):
-            edges_within(triangle(), set())
-        with pytest.raises(ValueError):
-            boundary(triangle(), {5})
+        with pytest.raises(ValueError, match="^coalition must be nonempty$"):
+            coalition(triangle(), set())
+        with pytest.raises(ValueError, match="^coalition member 5 is not a vertex$"):
+            coalition(triangle(), {5})
+
+    def test_long_numbers_are_cut(self):
+        # Past 4300 digits a whole integer in an f-string raises the
+        # interpreter's own error; the message quotes 40 digits.
+        echo = "9" * 40 + "\u2026"
+        with pytest.raises(ValueError, match=f"^coalition member {echo} is not a vertex$"):
+            coalition(triangle(), {10**5000 - 1})
 
     def test_partition_property(self):
+        # The edges split into E[S], delta(S) and the rest. The exact
+        # solver's candidates are E[S] and delta(S), so the rest never
+        # enters a cover and the cap counts exactly the first two parts.
         rng = random.Random(7)
         for _ in range(30):
             g = random_graph(rng)
             members = {v for v in range(g.vertex_count) if rng.random() < 0.5}
             if not members:
                 members = {0}
-            inside = set(edges_within(g, members))
-            crossing = set(boundary(g, members))
+            inside = {e for e in g.edges if e[0] in members and e[1] in members}
+            crossing = {e for e in g.edges if (e[0] in members) != (e[1] in members)}
             outside = set(g.edges) - inside - crossing
-            assert inside | crossing | outside == set(g.edges)
-            assert not (inside & crossing)
             assert all(e[0] not in members and e[1] not in members for e in outside)
-
-
-class TestStarEdges:
-    def test_triangle_star(self):
-        assert star_edges(triangle(), 0, {1, 2}) == ((0, 1), (0, 2))
-
-    def test_partial_star(self):
-        assert star_edges(star_graph(3), 0, {1, 3}) == ((0, 1), (0, 3))
-
-    def test_empty_star_rejected(self):
-        with pytest.raises(ValueError):
-            star_edges(triangle(), 0, set())
-
-    def test_non_neighbor_rejected(self):
-        with pytest.raises(ValueError):
-            star_edges(path_graph([1, 1]), 0, {2})
-
-    def test_long_numbers_are_cut(self):
-        # Past 4300 digits a whole integer in an f-string raises the
-        # interpreter's own error; the messages quote 40 digits.
-        big = 10**5000 - 1
-        echo = "9" * 40 + "\u2026"
-        with pytest.raises(ValueError, match=f"^star center {echo} is not a vertex$"):
-            star_edges(triangle(), big, {1})
-        with pytest.raises(ValueError, match=f"^star member {echo} is not adjacent to center 0$"):
-            star_edges(triangle(), 0, {big})
+            chosen = {e for e, x in min_edge_cover_exact(g, members).values.items() if x}
+            assert chosen <= inside | crossing
+            k = len(inside | crossing)
+            message = f"^{k} candidate edges exceed the exact-solver cap of {k - 1}$"
+            with pytest.raises(CapExceededError, match=message):
+                min_edge_cover_exact(g, members, max_candidate_edges=k - 1)
 
 
 class TestBipartiteness:
+    """``_two_coloring``, the package's bipartiteness test, and the odd
+    closed walk through its conflict vertex."""
+
     def test_triangle_is_not(self):
-        report = is_bipartite(triangle())
-        assert not report.bipartite
-        walk = report.odd_closed_walk
-        assert walk[0] == walk[-1]
-        assert (len(walk) - 1) % 2 == 1
         g = triangle()
-        assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+        conflict = graphs._two_coloring(g)[1]
+        assert conflict is not None
+        walk = graphs._odd_walk_through(g, conflict)
+        assert walk[0] == walk[-1] == conflict
+        assert (len(walk) - 1) % 2 == 1
+        assert is_walk(g, walk)
 
     def test_even_cycle_is(self):
-        report = is_bipartite(cycle_graph(6))
-        assert report.bipartite
         g = cycle_graph(6)
-        assert all(report.coloring[u] != report.coloring[v] for u, v in g.edges)
+        color, conflict = graphs._two_coloring(g)
+        assert conflict is None
+        assert all(color[u] != color[v] for u, v in g.edges)
 
     def test_single_edge_is(self):
-        assert is_bipartite(path_graph([1])).bipartite
+        assert graphs._two_coloring(path_graph([1])) == ([0, 1], None)
 
     def test_odd_walk_valid_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng)
-            report = is_bipartite(g)
-            if report.bipartite:
-                assert all(report.coloring[u] != report.coloring[v] for u, v in g.edges)
+            color, conflict = graphs._two_coloring(g)
+            if conflict is None:
+                assert all(color[u] != color[v] for u, v in g.edges)
             else:
-                walk = report.odd_closed_walk
+                walk = graphs._odd_walk_through(g, conflict)
                 assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
-                assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+                assert is_walk(g, walk)
 
     def test_odd_component_after_bipartite_one(self):
-        # The witness lies in the second component, the first non-bipartite one.
+        # The conflict, and so the walk, lies in the second component, the
+        # first non-bipartite one.
         rng = random.Random(31)
         for _ in range(40):
             first, second = random_bipartite_graph(rng), random_nonbipartite_graph(rng)
             g = disjoint_union(first, second, random_graph(rng))
-            report = is_bipartite(g)
-            assert not report.bipartite and report.coloring is None
-            walk = report.odd_closed_walk
-            assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
-            assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+            conflict = graphs._two_coloring(g)[1]
             offset = first.vertex_count
+            assert conflict is not None and offset <= conflict < offset + second.vertex_count
+            walk = graphs._odd_walk_through(g, conflict)
+            assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
+            assert is_walk(g, walk)
             assert all(offset <= v < offset + second.vertex_count for v in walk)
 
     def test_bipartite_unions_are_properly_colored(self):
@@ -458,11 +438,11 @@ class TestBipartiteness:
             parts.append(cycle_graph(2 * rng.randint(2, 5)))
             rng.shuffle(parts)
             g = disjoint_union(*parts)
-            report = is_bipartite(g)
-            assert report.bipartite and report.odd_closed_walk is None
-            assert len(report.coloring) == g.vertex_count
-            assert set(report.coloring) <= {0, 1}
-            assert all(report.coloring[u] != report.coloring[v] for u, v in g.edges)
+            color, conflict = graphs._two_coloring(g)
+            assert conflict is None
+            assert len(color) == g.vertex_count
+            assert set(color) <= {0, 1}
+            assert all(color[u] != color[v] for u, v in g.edges)
 
 
 class TestShortestOddCycle:
@@ -494,7 +474,7 @@ class TestShortestOddCycle:
         walk = first.witness
         assert walk[0] == walk[-1] == 0
         assert len(set(walk[:-1])) == first.length
-        assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+        assert is_walk(g, walk)
 
     def test_builds_only_the_reported_witness(self, monkeypatch):
         # The two-coloring's conflict vertex decides bipartiteness and gives
@@ -560,12 +540,12 @@ class TestShortestOddCycle:
             expected = enumerate_shortest_odd_cycle(g)
             report = shortest_odd_cycle(g)
             assert report.length == expected
-            assert (report.length is None) == is_bipartite(g).bipartite
+            assert (report.length is None) == (graphs._two_coloring(g)[1] is None)
             if report.witness is not None:
                 walk = report.witness
                 assert walk[0] == walk[-1]
                 assert len(set(walk[:-1])) == report.length
-                assert all(g.has_edge(a, b) for a, b in zip(walk, walk[1:]))
+                assert is_walk(g, walk)
 
     def test_disjoint_unions_match_enumeration_oracle(self):
         # The random unions have at most 8 vertices, within the oracle's reach;
@@ -611,8 +591,8 @@ class TestDoubleGraph:
         assert g.vertex_count == 6
         assert set(g.edges) == {(0, 4), (1, 3), (0, 5), (2, 3), (1, 5), (2, 4)}
         assert all(g.weight(*e) == 1 for e in g.edges)
-        assert all(g.degree(v) == 2 for v in range(6))
-        assert is_bipartite(g).bipartite
+        assert all(len(g.neighbors(v)) == 2 for v in range(6))
+        assert graphs._two_coloring(g)[1] is None
 
     def test_single_edge_becomes_two_disjoint_edges(self):
         doubled = double_graph(path_graph([Fraction(5, 2)]))

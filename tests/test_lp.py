@@ -27,8 +27,8 @@ from covergame import (
     double_graph,
     dual_packing_lp,
     fractional_cover_lp,
-    is_bipartite,
     is_feasible_cover,
+    shortest_odd_cycle,
     solve,
 )
 from covergame import lp as lp_module
@@ -353,7 +353,7 @@ def graph_lps(rng, count):
         g = random_graph(rng, max_vertices=10, max_extra_edges=5, **WEIGHT_FAMILIES[k % 3])
         yield "cover", fractional_cover_lp(g)
         yield "packing", dual_packing_lp(g)
-        if not is_bipartite(g).bipartite:
+        if shortest_odd_cycle(g).length is not None:
             yield "doubled-cover", fractional_cover_lp(double_graph(g).graph)
 
 

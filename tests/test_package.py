@@ -3,6 +3,7 @@ process loads."""
 
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ def test_cli_loads_no_solver_oracle_or_json():
 def test_all_is_the_sorted_export_table():
     assert covergame.__all__ == sorted(covergame.__all__)
     assert covergame.__all__ == sorted(covergame._EXPORTS)
-    assert len(covergame.__all__) == 49
+    assert len(covergame.__all__) == 44
 
 
 def test_each_name_is_its_submodule_attribute():
@@ -75,3 +76,11 @@ def test_star_import():
     exec("from covergame import *", namespace)
     assert set(covergame.__all__) <= set(namespace)
     assert namespace["solve"] is covergame.lp.solve
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: the package supports Python 3.10, which has none.
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None
+    assert covergame.__version__ == match.group(1)
