@@ -10,6 +10,15 @@ that certify all of it at desk scale.
 The public names below load on first use: ``covergame.solve`` imports
 the LP module when it is first read, so a program that never touches the
 solver or the oracles never pays for importing them.
+
+The result records (``CoverCertificate``, ``GapReport``, ``OddCycleReport``,
+``DoubledGraph``, ``LpSolution``, ``OracleBudget``, ``Constraint`` and
+``LinearProgram``) are NamedTuples: they unpack, index and compare equal to
+a plain tuple of their fields, and ``record._replace(field=value)`` builds a
+changed copy, still checked for the three whose constructors check their
+fields. ``AllocationReport`` alone is a frozen dataclass, changed with
+``dataclasses.replace``; its module, ``allocation``, is the only one that
+imports ``dataclasses``.
 """
 
 from importlib import import_module
@@ -20,12 +29,12 @@ __version__ = "0.2.0"
 _EXPORTS = {
     name: module
     for module, names in {
+        "allocation": "AllocationReport allocate_alpha_core",
         "covers": """CoverCertificate EdgeVector canonicalize_to_odd_cycles cover_weight
             fractional_support_cycles half_integral_cover is_feasible_cover
             is_half_integral min_edge_cover_exact""",
-        "game": """Allocation AllocationReport GapReport allocate_alpha_core check_core_dual
-            check_core_stars coalition_cost exact_best_ratio integrality_gap
-            parse_allocation verify_scaled_cover_membership""",
+        "game": """Allocation GapReport check_core_dual check_core_stars coalition_cost
+            exact_best_ratio integrality_gap parse_allocation verify_scaled_cover_membership""",
         "graphs": """CapExceededError DoubledGraph Edge GraphFormatError OddCycleReport
             WeightedGraph coalition double_graph edge_key load_graph parse_graph
             shortest_odd_cycle""",

@@ -6,6 +6,11 @@ takes --format text|json and a graph. Rationals print as "p/q" (bare integer
 when q = 1) and all iteration upstream is deterministic, so identical inputs
 produce byte-identical output.
 
+Each handler imports the layer it runs when it runs, so a process loads
+only the modules its subcommand needs: gap and verify load no cover or LP
+code, and only allocate loads ``dataclasses``. ``json`` loads only for
+--format json.
+
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),
 4 internal error (a computed result failed its own certificate), 141 stdout
@@ -17,27 +22,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .covers import (
-    EXACT_CANDIDATE_CAP,
-    CoverCertificate,
-    _canonical_form,
-    half_integral_cover,
-    min_edge_cover_exact,
-)
-from .game import (
-    allocate_alpha_core,
-    check_core_dual,
-    check_core_stars,
-    coalition_cost,
-    integrality_gap,
-    parse_allocation,
-)
-from .graphs import CapExceededError, load_graph
+from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, load_graph
 from .rationals import _all_digits, _echo, _parse_integer, format_rational
+
+if TYPE_CHECKING:  # each handler imports the layer it runs
+    from .covers import CoverCertificate
 
 
 def _count(text: str) -> int:
@@ -95,21 +87,29 @@ def _cover_output(cert: CoverCertificate, cycles=None) -> tuple[dict, list[str]]
 
 
 def _cmd_cover(g, args) -> tuple[int, dict, list[str]]:
+    from .covers import min_edge_cover_exact
+
     return 0, *_cover_output(min_edge_cover_exact(g, max_candidate_edges=args.cap))
 
 
 def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
+    from .covers import _canonical_form, half_integral_cover
+
     cert, cycles = half_integral_cover(g), None
     if args.canonical:
         try:
-            values, cycles = _canonical_form(g, cert.values)
-            cert = replace(cert, values=values)
+            # cert.weight is the optimum: half_integral_cover certified it
+            # against its dual witness.
+            values, cycles = _canonical_form(g, cert.values, cert.weight)
+            cert = cert._replace(values=values)
         except ValueError as exc:  # rejects the cover certified just above: a bug, not bad input
             raise RuntimeError(str(exc)) from exc
     return 0, *_cover_output(cert, cycles)
 
 
 def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
+    from .game import integrality_gap
+
     report = integrality_gap(g)
     payload = {
         "ell": report.ell,
@@ -126,6 +126,8 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
+    from .allocation import allocate_alpha_core
+
     report = allocate_alpha_core(g, max_candidate_edges=args.cap)
     grand_cost, ratio = (
         None if x is None else format_rational(x) for x in (report.grand_cost, report.ratio)
@@ -157,6 +159,8 @@ def _parse_members(text: str) -> list[int]:
 
 
 def _cmd_cost(g, args) -> tuple[int, dict, list[str]]:
+    from .game import coalition_cost
+
     members = _parse_members(args.coalition)
     cost = format_rational(coalition_cost(g, members, max_candidate_edges=args.cap))
     coalition = sorted(set(members))
@@ -165,6 +169,8 @@ def _cmd_cost(g, args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
+    from .game import check_core_dual, check_core_stars, parse_allocation
+
     allocation = parse_allocation(Path(args.allocation).read_text(encoding="utf-8"), g.vertex_count)
 
     dual_ok, bad_edge = check_core_dual(g, allocation)

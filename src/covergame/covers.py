@@ -12,11 +12,11 @@ support with the BFS and the lexicographic shortest path of ``graphs``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .graphs import CapExceededError, Edge, WeightedGraph, coalition, double_graph, edge_key
+from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, Edge, WeightedGraph, coalition
+from .graphs import double_graph, edge_key
 from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
 from .rationals import HALF, ONE, ZERO, _fraction
 
@@ -41,8 +41,7 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """An edge cover with its exact weight and, when available, a dual
     allocation of equal total certifying optimality; ``cli`` renders it."""
 
@@ -86,10 +85,6 @@ def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> Edge
     if not is_feasible_cover(g, x):
         raise ValueError("vector is not a feasible cover")
     return x
-
-
-# Default candidate-edge cap of the exact solver, shared by every caller.
-EXACT_CANDIDATE_CAP = 24
 
 
 def min_edge_cover_exact(
@@ -310,10 +305,13 @@ def _support_pass(g: WeightedGraph, x: EdgeVector) -> tuple[list[int] | None, _C
     return None, tuple(cycles)
 
 
-def _canonical_form(g: WeightedGraph, values: EdgeVector) -> tuple[EdgeVector, _Cycles]:
-    """``canonicalize_to_odd_cycles`` with the odd cycles of its last pass."""
+def _canonical_form(
+    g: WeightedGraph, values: EdgeVector, optimum: Fraction
+) -> tuple[EdgeVector, _Cycles]:
+    """``canonicalize_to_odd_cycles`` with the odd cycles of its last pass,
+    given the fractional covering optimum of ``g``, which the caller has
+    certified."""
     x = _validated_half_integral_cover(g, values)
-    optimum = _optimal_packing(g)[1]
     if cover_weight(g, x) != optimum:
         raise ValueError("vector is not an optimal fractional cover")
 
@@ -336,7 +334,7 @@ def canonicalize_to_odd_cycles(g: WeightedGraph, values: EdgeVector) -> EdgeVect
     Every pass makes at least one more coordinate integral, which bounds
     the number of passes by the edge count.
     """
-    return _canonical_form(g, values)[0]
+    return _canonical_form(g, values, _optimal_packing(g)[1])[0]
 
 
 def fractional_support_cycles(g: WeightedGraph, values: EdgeVector) -> _Cycles:

@@ -1,6 +1,8 @@
 """The edge cover game: coalition costs, stability checkers, the
-dual-based allocation with its guaranteed fraction of the grand cost, the
-per-instance integrality gap, and odd-set membership verification.
+per-instance integrality gap, and odd-set membership verification. The
+dual-based allocation lives in ``allocation``. The functions that compute a
+cover import ``covers`` when they run, so the checkers and the gap load no
+cover code.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -17,19 +19,15 @@ coalition can differ."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .covers import (
-    EXACT_CANDIDATE_CAP,
-    EdgeVector,
-    _optimal_packing,
-    _validated_half_integral_cover,
-    min_edge_cover_exact,
-)
-from .graphs import CapExceededError, Edge, WeightedGraph, edge_key, shortest_odd_cycle
+from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, Edge, WeightedGraph, edge_key
+from .graphs import shortest_odd_cycle
 from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
+
+if TYPE_CHECKING:  # covers loads only when a cover is computed
+    from .covers import EdgeVector
 
 Allocation = tuple[Fraction, ...]
 
@@ -91,6 +89,8 @@ def coalition_cost(
     max_candidate_edges: int = EXACT_CANDIDATE_CAP,
 ) -> Fraction:
     """c(S): the minimum weight of an edge set covering the coalition."""
+    from .covers import min_edge_cover_exact
+
     return min_edge_cover_exact(g, members, max_candidate_edges=max_candidate_edges).weight
 
 
@@ -147,53 +147,7 @@ def check_core_stars(
     return True, None
 
 
-@dataclass(frozen=True)
-class AllocationReport:
-    """A stable allocation with its guaranteed and achieved fractions of
-    the grand coalition cost; cost fields are None when the exact cover
-    solver cap was exceeded."""
-
-    allocation: Allocation
-    alpha: Fraction
-    total: Fraction
-    grand_cost: Fraction | None
-    ratio: Fraction | None
-
-
-def allocate_alpha_core(
-    g: WeightedGraph, *, max_candidate_edges: int = EXACT_CANDIDATE_CAP
-) -> AllocationReport:
-    """Allocation from an optimal dual packing solution.
-
-    Packing feasibility is the core property coalition by coalition, and
-    the total equals the fractional covering optimum (``solve`` certifies
-    both by the LP dual, a fractional cover of equal weight). That total is
-    at least ell/(ell+1) of the integral grand cost because the
-    integrality gap is 1 + 1/ell (ell the shortest odd cycle length); on
-    bipartite graphs the total matches the grand cost exactly. Both bounds
-    are asserted whenever the grand cost is within the cap.
-    """
-    allocation, total = _optimal_packing(g)
-    gap = integrality_gap(g)
-    alpha = 1 / gap.rho
-
-    try:
-        grand = coalition_cost(g, g.vertices(), max_candidate_edges=max_candidate_edges)
-    except CapExceededError:
-        grand = None
-    ratio = None
-    if grand is not None:
-        if total < alpha * grand:
-            raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
-        if gap.ell is None and total != grand:
-            raise RuntimeError("bipartite allocation total must equal the grand cost")
-        if grand:
-            ratio = total / grand
-    return AllocationReport(allocation, alpha, total, grand, ratio)
-
-
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Integrality gap of the covering relaxation on one graph.
 
     rho = 1 + 1/ell where ell is the shortest odd cycle length, or 1 on
@@ -238,6 +192,8 @@ def verify_scaled_cover_membership(
     n = g.vertex_count
     if n > ODD_SET_CAP:
         raise CapExceededError(f"{n} vertices exceed the odd-set enumeration cap of {ODD_SET_CAP}")
+    from .covers import _validated_half_integral_cover
+
     x = _validated_half_integral_cover(g, values)
     scale = integrality_gap(g).rho
 
@@ -258,6 +214,8 @@ def verify_scaled_cover_membership(
 def exact_best_ratio(g: WeightedGraph) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
     covering alpha of the grand cost: fractional optimum over c(V)."""
+    from .covers import _optimal_packing
+
     fractional = _optimal_packing(g)[1]
     grand = coalition_cost(g, g.vertices())
     if grand == 0:

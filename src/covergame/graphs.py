@@ -5,7 +5,8 @@ shortest odd cycles, and the bipartite doubling construction.
 and one tie-broken path: the two-coloring, the odd-walk witness, the
 truncated odd-cycle search and the canonical rounding in ``covers`` all use
 them. Both input-error types live here: ``GraphFormatError`` for graph
-text and ``CapExceededError`` for instances beyond a search budget.
+text and ``CapExceededError`` for instances beyond a search budget, next
+to the exact cover solver's default budget, ``EXACT_CANDIDATE_CAP``.
 
 Every operation is a pure function, and a graph's vertices, edges and
 weights never change after construction. Its adjacency tuples are built
@@ -18,10 +19,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .rationals import HALF, ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines
 from .rationals import parse_rational
@@ -47,6 +47,10 @@ class GraphFormatError(ValueError):
 
 class CapExceededError(ValueError):
     """An instance is too large for a configured exact-search or oracle budget."""
+
+
+# Default candidate-edge cap of the exact cover solver, shared by every caller.
+EXACT_CANDIDATE_CAP = 24
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -275,8 +279,7 @@ def _two_coloring(g: WeightedGraph) -> tuple[list[int], int | None]:
     return color, None
 
 
-@dataclass(frozen=True)
-class OddCycleReport:
+class OddCycleReport(NamedTuple):
     """Shortest odd cycle length and one witness cycle.
 
     ``length`` is None on bipartite graphs. The witness is a closed vertex
@@ -332,8 +335,7 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     return OddCycleReport(best_len, _odd_walk_through(g, best_start))
 
 
-@dataclass(frozen=True)
-class DoubledGraph:
+class DoubledGraph(NamedTuple):
     """Bipartite double of a graph, with its edge correspondence.
 
     Vertex v of the source appears as v (first copy) and v + n (second

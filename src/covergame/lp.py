@@ -21,9 +21,8 @@ incidence matrix: one constraint per row, and one per column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .graphs import WeightedGraph
 from .rationals import ONE, ZERO, _fraction
@@ -31,41 +30,56 @@ from .rationals import ONE, ZERO, _fraction
 RELATIONS = (">=", "<=")
 
 
-@dataclass(frozen=True)
-class Constraint:
+class _ConstraintFields(NamedTuple):
     coeffs: tuple[Fraction, ...]
     relation: str
     rhs: Fraction
 
-    def __post_init__(self):
-        if self.relation not in RELATIONS:
-            raise ValueError(f"unknown relation {self.relation!r}")
+
+class Constraint(_ConstraintFields):
+    """One row: coeffs . x (relation) rhs, with Fraction coefficients."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs, relation, rhs):
+        if relation not in RELATIONS:
+            raise ValueError(f"unknown relation {relation!r}")
         # From a list: tuple() of an iterator of unknown length grows and then
         # shrinks the tuple, which leaves CPython's tuple free lists unbalanced
         # and grew peak RSS by 6% on the frac-alloc benchmark.
-        object.__setattr__(self, "coeffs", tuple([_fraction(a) for a in self.coeffs]))
-        object.__setattr__(self, "rhs", _fraction(self.rhs))
+        return super().__new__(cls, tuple([_fraction(a) for a in coeffs]), relation, _fraction(rhs))
+
+    @classmethod
+    def _make(cls, fields):  # so ``_replace`` checks and coerces as well
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    """min or max of a linear objective over nonnegative variables."""
-
+class _LinearProgramFields(NamedTuple):
     sense: str
     objective: tuple[Fraction, ...]
     constraints: tuple[Constraint, ...]
 
-    def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be 'min' or 'max', not {self.sense!r}")
-        object.__setattr__(self, "objective", tuple([_fraction(c) for c in self.objective]))
-        for c in self.constraints:
-            if len(c.coeffs) != len(self.objective):
+
+class LinearProgram(_LinearProgramFields):
+    """min or max of a linear objective over nonnegative variables."""
+
+    __slots__ = ()
+
+    def __new__(cls, sense, objective, constraints):
+        if sense not in ("min", "max"):
+            raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
+        objective = tuple([_fraction(c) for c in objective])
+        for c in constraints:
+            if len(c.coeffs) != len(objective):
                 raise ValueError("constraint arity does not match the objective")
+        return super().__new__(cls, sense, objective, constraints)
+
+    @classmethod
+    def _make(cls, fields):  # so ``_replace`` checks and coerces as well
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """Solver outcome; ``values`` is a basic (vertex) solution when optimal.
 
     ``duals`` holds one optimal dual value per constraint: nonnegative on

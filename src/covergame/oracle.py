@@ -8,23 +8,30 @@ exposes them behind --exhaustive; the test suite uses them as oracles.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .game import _validated_allocation
 from .graphs import CapExceededError, WeightedGraph, coalition
 from .rationals import ZERO
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_cover_edges: int = 20
-    max_coalition_vertices: int = 12
+class _OracleBudgetFields(NamedTuple):
+    max_cover_edges: int
+    max_coalition_vertices: int
 
-    def __post_init__(self):
-        if min(self.max_cover_edges, self.max_coalition_vertices) <= 0:
+
+class OracleBudget(_OracleBudgetFields):
+    __slots__ = ()
+
+    def __new__(cls, max_cover_edges=20, max_coalition_vertices=12):
+        if min(max_cover_edges, max_coalition_vertices) <= 0:
             raise ValueError("oracle budgets must be positive")
+        return super().__new__(cls, max_cover_edges, max_coalition_vertices)
+
+    @classmethod
+    def _make(cls, fields):  # so ``_replace`` checks as well
+        return cls(*fields)
 
 
 DEFAULT_BUDGET = OracleBudget()

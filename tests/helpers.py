@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import random
 import re
@@ -250,7 +249,7 @@ def unchoosing_solve(real_solve):
         if lp.sense == "min":
             values = list(solution.values)
             values[values.index(1)] = Fraction(0)
-            solution = dataclasses.replace(solution, values=tuple(values))
+            solution = solution._replace(values=tuple(values))
         return solution
 
     return solve

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -65,13 +66,35 @@ class TestFracCover:
         assert payload["weight"] == "5/2"
         assert payload["fractional_cycles"] == [[0, 1, 2, 3, 4, 0]]
 
-    def test_canonical_rejecting_the_certified_cover_exits_4(self, capsys, monkeypatch):
-        # The all-ones cover is feasible but not optimal, so the rounding
-        # rejects it; the handler had certified it, so that is a bug.
-        def all_ones(g):
-            return CoverCertificate("half-integral", {e: 1 for e in g.edges}, g.edge_count)
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            ("c4.g", "kind: half-integral\nweight: 2\ncover:\n  0-3 = 1\n  1-2 = 1\n"
+             "fractional cycles: none\n"),
+            ("c5.g", "kind: half-integral\nweight: 5/2\ncover:\n  0-1 = 1/2\n  0-4 = 1/2\n"
+             "  1-2 = 1/2\n  2-3 = 1/2\n  3-4 = 1/2\nfractional cycles:\n  0-1-2-3-4-0\n"),
+        ],
+        ids=["c4", "c5"],
+    )
+    def test_canonical_solves_two_lps(self, capsys, monkeypatch, graph, expected):
+        # half_integral_cover solves the covering LP and the packing LP of
+        # its dual witness; the rounding takes the optimum from that
+        # certificate instead of solving the packing LP a third time.
+        real, senses = lp.solve, []
+        monkeypatch.setattr(
+            lp, "solve", lambda program, trace=None: senses.append(program.sense) or real(program, trace)
+        )
+        assert run(capsys, "frac-cover", DATA / graph, "--canonical") == (0, expected, "")
+        assert senses == ["min", "max"]
 
-        monkeypatch.setattr("covergame.cli.half_integral_cover", all_ones)
+    def test_canonical_rejecting_the_certified_cover_exits_4(self, capsys, monkeypatch):
+        # The all-ones cover is feasible but weighs 3, not the certified
+        # optimum 3/2 the rounding is given, so the rounding rejects it; the
+        # handler had certified it, so that is a bug.
+        def all_ones(g):
+            return CoverCertificate("half-integral", {e: 1 for e in g.edges}, Fraction(3, 2))
+
+        monkeypatch.setattr("covergame.covers.half_integral_cover", all_ones)
         code, out, err = run(capsys, "frac-cover", DATA / "triangle.g", "--canonical")
         assert (code, out) == (4, "")
         assert err == "error: internal: vector is not an optimal fractional cover\n"

@@ -226,6 +226,21 @@ class TestExactness:
         with pytest.raises(TypeError, match="expected an int or a Fraction"):
             LinearProgram("min", (x,), ())
 
+    def test_replace_checks_and_coerces_like_the_constructor(self):
+        con = Constraint((1, 2), ">=", 1)
+        assert con._replace(rhs=3) == Constraint((1, 2), ">=", 3)
+        assert type(con._replace(rhs=3).rhs) is F
+        with pytest.raises(ValueError):
+            con._replace(relation="=")
+        program = LinearProgram("min", (1, 1), (con,))
+        assert program._replace(sense="max").sense == "max"
+        with pytest.raises(ValueError):
+            program._replace(sense="maximize")
+        with pytest.raises(ValueError):
+            program._replace(objective=(1,))
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            program._replace(objective=(0.5, 1))
+
     def test_records_hold_fractions_and_keep_the_callers(self):
         third = F(1, 3)
         con = Constraint((2, third), "<=", 1)

@@ -104,3 +104,8 @@ class TestBudgetType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             OracleBudget(max_cover_edges=0)
+
+    def test_replace_checks_like_the_constructor(self):
+        assert OracleBudget()._replace(max_cover_edges=5) == OracleBudget(5, 12)
+        with pytest.raises(ValueError):
+            OracleBudget()._replace(max_coalition_vertices=0)

@@ -1,6 +1,7 @@
 """The package namespace: lazily resolved exports, and the modules a CLI
 process loads."""
 
+import ast
 import importlib
 import os
 import re
@@ -15,33 +16,58 @@ import covergame
 DATA = Path(__file__).parent / "data"
 SRC = str(Path(covergame.__file__).resolve().parent.parent)
 
-# Imports the CLI, runs gap, cost and verify in text format, and reports
-# which of the modules that only the solver, the oracles or JSON output
-# need were loaded after the import and after the runs.
+# In a fresh interpreter: snapshots sys.modules, imports the CLI, runs one
+# subcommand, and reports which of the watched modules the import added and
+# which the run added. The snapshot leaves out whatever the interpreter
+# loaded at start-up, so only what covergame adds is seen.
 LOADED_SCRIPT = """
 import contextlib, io, sys
-WATCHED = ("covergame.lp", "covergame.oracle", "json")
+WATCHED = ("covergame.allocation", "covergame.covers", "covergame.lp", "covergame.oracle",
+           "dataclasses", "inspect", "json")
+def added(before):
+    return [m for m in WATCHED if m in sys.modules and m not in before]
+start = set(sys.modules)
 from covergame.cli import main
-loaded = [[m for m in WATCHED if m in sys.modules]]
+imported, after_import = added(start), set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [main(["gap", sys.argv[1]]), main(["cost", sys.argv[1], "--coalition", "0,1"]),
-             main(["verify", sys.argv[1], sys.argv[2]])]
-loaded.append([m for m in WATCHED if m in sys.modules])
-print(repr((codes, loaded)))
+    code = main(sys.argv[1:])
+print(repr((code, imported, added(after_import))))
 """
 
 
-def test_cli_loads_no_solver_oracle_or_json():
+def loaded_by(*argv):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    args = [str(DATA / "triangle.g"), str(DATA / "triangle.good.alloc")]
     proc = subprocess.run(
-        [sys.executable, "-c", LOADED_SCRIPT, *args],
+        [sys.executable, "-c", LOADED_SCRIPT, *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == repr(([0, 0, 0], [[], []]))
+    return ast.literal_eval(proc.stdout)
+
+
+def test_cli_loads_no_solver_oracle_or_json():
+    triangle, alloc = DATA / "triangle.g", DATA / "triangle.good.alloc"
+    runs = {
+        "gap": loaded_by("gap", triangle),
+        "verify": loaded_by("verify", triangle, alloc),
+        "cost": loaded_by("cost", triangle, "--coalition", "0,1"),
+        "cover": loaded_by("cover", triangle),
+        "frac-cover": loaded_by("frac-cover", triangle, "--canonical"),
+        "allocate": loaded_by("allocate", triangle),
+    }
+    assert all(code == 0 and imported == [] for code, imported, _ in runs.values())
+    added = {command: run[2] for command, run in runs.items()}
+    assert added["gap"] == added["verify"] == []
+    assert added["cost"] == added["cover"] == ["covergame.covers"]
+    assert added["frac-cover"] == ["covergame.covers", "covergame.lp"]
+    # AllocationReport stays a dataclass, because callers change it with
+    # dataclasses.replace, so allocate alone loads dataclasses (and inspect,
+    # which dataclasses imports).
+    allocate = set(added["allocate"])
+    assert {"covergame.allocation", "covergame.covers", "covergame.lp", "dataclasses"} <= allocate
+    assert not allocate & {"covergame.oracle", "json"}
 
 
 def test_all_is_the_sorted_export_table():
