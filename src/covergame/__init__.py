@@ -15,7 +15,7 @@ The result records (``CoverCertificate``, ``GapReport``, ``OddCycleReport``,
 ``DoubledGraph``, ``LpSolution``, ``OracleBudget``, ``Constraint`` and
 ``LinearProgram``) are NamedTuples: they unpack, index and compare equal to
 a plain tuple of their fields, and ``record._replace(field=value)`` builds a
-changed copy, still checked for the three whose constructors check their
+changed copy, still checked for the two whose constructors check their
 fields. ``AllocationReport`` alone is a frozen dataclass, changed with
 ``dataclasses.replace``; its module, ``allocation``, is the only one that
 imports ``dataclasses``.
@@ -23,7 +23,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

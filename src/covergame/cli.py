@@ -192,15 +192,9 @@ def _cmd_verify(g, args) -> tuple[int, dict, list[str]]:
     ]
     ok = dual_ok and star_ok
     if args.exhaustive:
-        from .oracle import OracleBudget, brute_core_check
+        from .oracle import brute_core_check
 
-        # An --oracle-* flag left out keeps the OracleBudget default.
-        limits = {
-            "max_cover_edges": args.oracle_edges,
-            "max_coalition_vertices": args.oracle_vertices,
-        }
-        budget = OracleBudget(**{k: v for k, v in limits.items() if v is not None})
-        oracle_ok, bad_coalition = brute_core_check(g, allocation, budget)
+        oracle_ok, bad_coalition = brute_core_check(g, allocation)
         payload["oracle"] = {
             "ok": oracle_ok,
             "coalition": None if bad_coalition is None else sorted(bad_coalition),
@@ -259,8 +253,6 @@ def _build_parser() -> _Parser:
     verify.add_argument(
         "--exhaustive", action="store_true", help="also run the all-coalitions brute-force oracle"
     )
-    verify.add_argument("--oracle-vertices", type=_count, help="oracle coalition budget")
-    verify.add_argument("--oracle-edges", type=_count, help="oracle cover-enumeration budget")
     return parser
 
 

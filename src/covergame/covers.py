@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, Edge, WeightedGraph, coalition
 from .graphs import double_graph, edge_key
-from .graphs import _bfs_distances, _lex_shortest_path, _two_coloring  # the shared traversal
+from .graphs import _bfs_distances, _conflict_vertex, _lex_shortest_path  # the shared traversal
 from .rationals import HALF, ONE, ZERO, _fraction
 
 if TYPE_CHECKING:  # the LP module loads only when a cover is solved
@@ -189,7 +189,7 @@ def half_integral_cover(
     """
     from .lp import fractional_cover_lp
 
-    if _two_coloring(g)[1] is None:  # no conflict: bipartite
+    if _conflict_vertex(g) is None:  # bipartite
         solved, copies, scale = g, lambda e: (e,), 1
     else:
         doubled = double_graph(g)

@@ -1,8 +1,8 @@
-"""Weighted-graph arena: parsing, coalition validation, the two-coloring,
-shortest odd cycles, and the bipartite doubling construction.
+"""Weighted-graph arena: parsing, coalition validation, the bipartiteness
+test, shortest odd cycles, and the bipartite doubling construction.
 
 ``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS
-and one tie-broken path: the two-coloring, the odd-walk witness, the
+and one tie-broken path: the bipartiteness test, the odd-walk witness, the
 truncated odd-cycle search and the canonical rounding in ``covers`` all use
 them. Both input-error types live here: ``GraphFormatError`` for graph
 text and ``CapExceededError`` for instances beyond a search budget, next
@@ -46,7 +46,7 @@ class GraphFormatError(ValueError):
 
 
 class CapExceededError(ValueError):
-    """An instance is too large for a configured exact-search or oracle budget."""
+    """An instance is too large for an exact-search cap or an oracle budget."""
 
 
 # Default candidate-edge cap of the exact cover solver, shared by every caller.
@@ -63,11 +63,13 @@ class WeightedGraph:
 
     Enforced invariants: no loops, no parallel edges, every weight >= 0, and
     minimum degree >= 1 (so an edge cover exists for every coalition). This
-    constructor is the only place these facts are checked; ``parse_graph``
-    feeds it and only adds line numbers. ``edges`` holds the sorted edge
-    keys, and ``neighbors(v)`` the sorted neighbors of v, so its length is
-    v's degree. The neighbor tuples are built on first read, so a graph
-    that is never traversed holds none.
+    constructor checks all of them. ``parse_graph`` feeds it and adds line
+    numbers; it rejects n <= 0 itself only so that a bad header is reported
+    before the count of edge lines is checked. ``edges`` holds the sorted
+    edge keys, and ``neighbors(v)`` the sorted neighbors of v, so its length
+    is v's degree. The neighbor tuples are built on the first ``neighbors``
+    call, so a graph that is never traversed, or a copy or pickle of one,
+    holds none.
     """
 
     __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
@@ -102,21 +104,6 @@ class WeightedGraph:
         self.edges: tuple[Edge, ...] = tuple(sorted(weight))
         self._weight = weight
 
-    def __getattr__(self, name: str) -> tuple[tuple[int, ...], ...]:
-        # Python calls this only when normal lookup fails, so it builds the
-        # tuples only while the _neighbors slot is unset; later reads take
-        # the slot directly. The edges are sorted, so v's lower neighbors
-        # arrive in order before its higher ones and each list comes out
-        # sorted.
-        if name != "_neighbors":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adjacency[u].append(v)
-            adjacency[v].append(u)
-        self._neighbors = tuple(tuple(a) for a in adjacency)
-        return self._neighbors
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)
@@ -128,6 +115,20 @@ class WeightedGraph:
         return self._weight[edge_key(u, v)]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        # The unset slot, not a __getattr__ hook, marks the first call: a
+        # class with such a hook gets none of CPython 3.11's specialized
+        # attribute loads.
+        try:
+            return self._neighbors[v]
+        except AttributeError:
+            pass
+        # The edges are sorted, so v's lower neighbors arrive in order
+        # before its higher ones and each tuple comes out sorted.
+        adjacency: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for a, b in self.edges:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        self._neighbors = tuple(tuple(a) for a in adjacency)
         return self._neighbors[v]
 
     def __repr__(self) -> str:
@@ -262,21 +263,29 @@ def _odd_walk_through(g: WeightedGraph, s: int) -> tuple[int, ...]:
     return tuple(v for v, _ in _lex_shortest_path(parity_neighbors, (s, 0), (s, 1)))
 
 
-def _two_coloring(g: WeightedGraph) -> tuple[list[int], int | None]:
-    """Color each component by the parity of the BFS distance from its
-    lowest vertex. Returns the colors and the first vertex, in BFS order,
-    with a neighbor of its own color, or None when there is no conflict."""
-    color = [-1] * g.vertex_count
+def _level_conflict(g: WeightedGraph, dist: dict[int, int]) -> int | None:
+    """The first vertex of a BFS ball, in visiting order, with a neighbor on
+    its own level."""
+    for v, k in dist.items():
+        if k in map(dist.get, g.neighbors(v)):
+            return v
+    return None
+
+
+def _conflict_vertex(g: WeightedGraph) -> int | None:
+    """The first vertex, in BFS order from the lowest vertex of each
+    component, with a neighbor on its own BFS level; None exactly when g is
+    bipartite, since every edge joins equal or adjacent levels and the
+    levels' parities two-color g when no edge lies inside a level."""
+    seen: set[int] = set()
     for root in g.vertices():
-        if color[root] != -1:
-            continue
-        dist = _bfs_distances(g.neighbors, root)
-        for v, d in dist.items():
-            color[v] = d % 2
-        for v in dist:
-            if any(color[u] == color[v] for u in g.neighbors(v)):
-                return color, v
-    return color, None
+        if root not in seen:
+            dist = _bfs_distances(g.neighbors, root)
+            conflict = _level_conflict(g, dist)
+            if conflict is not None:
+                return conflict
+            seen.update(dist)
+    return None
 
 
 class OddCycleReport(NamedTuple):
@@ -301,18 +310,16 @@ def _odd_closed_walk_through(g: WeightedGraph, s: int, bound: float) -> int | No
     With no bound, the ball is s's whole component.
     """
     dist = _bfs_distances(g.neighbors, s, (bound - 1) / 2)
-    for v, k in dist.items():
-        if k in map(dist.get, g.neighbors(v)):  # a neighbor on its own level
-            return 2 * k + 1
-    return None
+    v = _level_conflict(g, dist)
+    return None if v is None else 2 * dist[v] + 1
 
 
 def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     """Length of the shortest odd cycle with a deterministic witness.
 
-    One O(|V| + |E|) two-coloring settles bipartite graphs; otherwise the
-    shortest odd closed walk through its first conflict vertex, of length
-    L, bounds the answer. Then one truncated BFS per start vertex (Itai and
+    One O(|V| + |E|) ``_conflict_vertex`` scan settles bipartite graphs;
+    otherwise the shortest odd closed walk through the conflict vertex, of
+    length L, bounds the answer. Then one truncated BFS per start vertex (Itai and
     Rodeh 1978) finds the shortest odd closed walk through it, searching
     only the ball of radius about (best - 1) / 2 where best is the shortest
     length found so far (L at first). The witness is
@@ -322,7 +329,7 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     broken toward the lowest start vertex and then the lexicographically
     smallest vertex sequence.
     """
-    conflict = _two_coloring(g)[1]
+    conflict = _conflict_vertex(g)
     if conflict is None:
         return OddCycleReport(None, None)
     # L bounds ell, so only walks shorter than L + 1 count.

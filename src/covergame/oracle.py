@@ -1,8 +1,9 @@
 """Brute-force reference implementations.
 
 These are deliberately naive, share no optimization logic with the fast
-paths they certify, and refuse instances beyond small budgets. The CLI
-exposes them behind --exhaustive; the test suite uses them as oracles.
+paths they certify, and refuse instances beyond small fixed budgets:
+``DEFAULT_BUDGET`` and ``GRID_EDGE_CAP``. The CLI exposes them behind
+--exhaustive; the test suite uses them as oracles.
 """
 
 from __future__ import annotations
@@ -16,22 +17,13 @@ from .graphs import CapExceededError, WeightedGraph, coalition
 from .rationals import ZERO
 
 
-class _OracleBudgetFields(NamedTuple):
-    max_cover_edges: int
-    max_coalition_vertices: int
+class OracleBudget(NamedTuple):
+    """The fixed budgets: most candidate edges whose 2^m subsets
+    ``brute_min_cover`` walks, and most vertices whose coalitions
+    ``brute_core_check`` walks."""
 
-
-class OracleBudget(_OracleBudgetFields):
-    __slots__ = ()
-
-    def __new__(cls, max_cover_edges=20, max_coalition_vertices=12):
-        if min(max_cover_edges, max_coalition_vertices) <= 0:
-            raise ValueError("oracle budgets must be positive")
-        return super().__new__(cls, max_cover_edges, max_coalition_vertices)
-
-    @classmethod
-    def _make(cls, fields):  # so ``_replace`` checks as well
-        return cls(*fields)
+    max_cover_edges: int = 20
+    max_coalition_vertices: int = 12
 
 
 DEFAULT_BUDGET = OracleBudget()
@@ -40,9 +32,7 @@ DEFAULT_BUDGET = OracleBudget()
 GRID_EDGE_CAP = 12
 
 
-def brute_min_cover(
-    g: WeightedGraph, members: Iterable[int], budget: OracleBudget = DEFAULT_BUDGET
-) -> Fraction:
+def brute_min_cover(g: WeightedGraph, members: Iterable[int]) -> Fraction:
     """Minimum cover weight over all 2^m subsets of the candidate edges.
 
     Subsets are walked in Gray-code order, flipping one edge per step, so
@@ -52,10 +42,9 @@ def brute_min_cover(
     s = coalition(g, members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
     k = len(candidates)
-    if k > budget.max_cover_edges:
-        raise CapExceededError(
-            f"{k} candidate edges exceed the oracle budget of {budget.max_cover_edges}"
-        )
+    cap = DEFAULT_BUDGET.max_cover_edges
+    if k > cap:
+        raise CapExceededError(f"{k} candidate edges exceed the oracle budget of {cap}")
     weights = [g.weight(*e) for e in candidates]
     covered = [tuple(v for v in e if v in s) for e in candidates]
 
@@ -113,9 +102,7 @@ def brute_fractional_optimum(g: WeightedGraph) -> Fraction:
 
 
 def brute_core_check(
-    g: WeightedGraph,
-    allocation: Sequence[Fraction],
-    budget: OracleBudget = DEFAULT_BUDGET,
+    g: WeightedGraph, allocation: Sequence[Fraction]
 ) -> tuple[bool, frozenset[int] | None]:
     """Check a(S) <= c(S) for every nonempty coalition S, exhaustively.
 
@@ -123,14 +110,13 @@ def brute_core_check(
     coalition in mask order, if any.
     """
     n = g.vertex_count
-    if n > budget.max_coalition_vertices:
-        raise CapExceededError(
-            f"{n} vertices exceed the coalition oracle budget of {budget.max_coalition_vertices}"
-        )
+    cap = DEFAULT_BUDGET.max_coalition_vertices
+    if n > cap:
+        raise CapExceededError(f"{n} vertices exceed the coalition oracle budget of {cap}")
     values = _validated_allocation(g, allocation)
     for mask in range(1, 1 << n):
         members = [v for v in range(n) if mask >> v & 1]
         total = sum(values[v] for v in members)
-        if total > brute_min_cover(g, members, budget):
+        if total > brute_min_cover(g, members):
             return False, frozenset(members)
     return True, None

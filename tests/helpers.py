@@ -9,7 +9,7 @@ from collections import deque
 from fractions import Fraction
 
 from covergame import LinearProgram, LpSolution, OddCycleReport, WeightedGraph
-from covergame.graphs import _two_coloring
+from covergame.graphs import _conflict_vertex
 from covergame.rationals import _echo
 
 # The token rules as regexes: the reference the readers of ``rationals``
@@ -133,7 +133,7 @@ def random_nonbipartite_graph(
             rng, max_vertices=max_vertices, min_vertices=3,
             max_extra_edges=max(2, max_extra_edges), **weight_kwargs,
         )
-        if _two_coloring(g)[1] is not None:
+        if _conflict_vertex(g) is not None:
             return g
     raise AssertionError("failed to sample a non-bipartite graph")
 

@@ -176,10 +176,8 @@ class TestCost:
             (("cover", DATA / "path3.g"), "--cap"),
             (("allocate", DATA / "path3.g"), "--cap"),
             (("cost", DATA / "path3.g", "--coalition", "0"), "--cap"),
-            (("verify", DATA / "triangle.g", DATA / "triangle.good.alloc"), "--oracle-vertices"),
-            (("verify", DATA / "triangle.g", DATA / "triangle.good.alloc"), "--oracle-edges"),
         ],
-        ids=["cover", "allocate", "cost", "verify-vertices", "verify-edges"],
+        ids=["cover", "allocate", "cost"],
     )
     def test_numeric_flags_take_ascii_digits_only(self, capsys, argv, flag, value):
         code, out, err = run(capsys, *argv, flag, value)
@@ -245,12 +243,15 @@ class TestVerify:
         assert code == 0
         assert "oracle check: ok" in out
 
-    def test_exhaustive_budget_exits_2(self, capsys):
-        code, _, err = run(
-            capsys, "verify", DATA / "triangle.g", DATA / "triangle.good.alloc",
-            "--exhaustive", "--oracle-vertices", "2",
-        )
-        assert code == 2
+    def test_exhaustive_budget_exits_2(self, tmp_path, capsys):
+        # A 13-vertex path, one vertex past the fixed coalition budget.
+        graph = tmp_path / "path13.g"
+        graph.write_text("13 12\n" + "".join(f"{v} {v + 1} 1\n" for v in range(12)))
+        allocation = tmp_path / "zero.alloc"
+        allocation.write_text("".join(f"{v} 0\n" for v in range(13)))
+        code, out, err = run(capsys, "verify", graph, allocation, "--exhaustive")
+        assert (code, out) == (2, "")
+        assert err == "error: 13 vertices exceed the coalition oracle budget of 12\n"
 
     def test_json_round_trip_reproduces_verdicts(self, capsys):
         args = ("verify", DATA / "triangle.g", DATA / "triangle.bad.alloc",

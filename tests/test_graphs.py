@@ -1,9 +1,10 @@
-"""Graph parsing, coalition validation, the two-coloring, shortest odd
-cycles, and the doubling construction."""
+"""Graph parsing, coalition validation, the bipartiteness test, shortest
+odd cycles, and the doubling construction."""
 
 import copy
 import itertools
 import math
+import pickle
 import random
 import sys
 import threading
@@ -274,7 +275,7 @@ class TestLazyAdjacency:
         half_integral_cover(g)
         assert len(doubles) == 1
         assert not adjacency_built(doubles[0].graph)
-        assert adjacency_built(g)  # the two-coloring traverses g itself
+        assert adjacency_built(g)  # the bipartiteness test traverses g itself
 
     def test_first_read_builds_it_once(self):
         g = parse_graph(TRIANGLE_TEXT)
@@ -345,6 +346,24 @@ class TestLazyAdjacency:
         assert [h.weight(*e) for e in h.edges] == [g.weight(*e) for e in g.edges]
         assert [h.neighbors(v) for v in h.vertices()] == [(1, 2), (0, 2), (0, 1)]
 
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_of_an_untraversed_graph_stay_unbuilt(self, duplicate):
+        g = parse_graph(TRIANGLE_TEXT)
+        h = duplicate(g)
+        assert not adjacency_built(g) and not adjacency_built(h)
+        assert [h.neighbors(v) for v in h.vertices()] == [(1, 2), (0, 2), (0, 1)]
+        assert not adjacency_built(g)
+
+    def test_no_attribute_hook(self):
+        # CPython 3.11 specializes attribute loads (LOAD_ATTR, LOAD_METHOD)
+        # only on types that keep the generic lookup; either hook would
+        # leave every attribute read on a graph unspecialized.
+        assert not {"__getattr__", "__getattribute__"} & vars(WeightedGraph).keys()
+
 
 class TestCoalitionEdges:
     def test_empty_coalition_rejected(self):
@@ -382,13 +401,19 @@ class TestCoalitionEdges:
                 min_edge_cover_exact(g, members, max_candidate_edges=k - 1)
 
 
+def has_odd_closed_walk(g: WeightedGraph) -> bool:
+    """Reference verdict: whether some vertex s reaches (s, 1) in the parity
+    double cover, with the helpers' own BFS."""
+    return any(parity_distances(g, s)[s][1] != -1 for s in g.vertices())
+
+
 class TestBipartiteness:
-    """``_two_coloring``, the package's bipartiteness test, and the odd
+    """``_conflict_vertex``, the package's bipartiteness test, and the odd
     closed walk through its conflict vertex."""
 
     def test_triangle_is_not(self):
         g = triangle()
-        conflict = graphs._two_coloring(g)[1]
+        conflict = graphs._conflict_vertex(g)
         assert conflict is not None
         walk = graphs._odd_walk_through(g, conflict)
         assert walk[0] == walk[-1] == conflict
@@ -397,21 +422,19 @@ class TestBipartiteness:
 
     def test_even_cycle_is(self):
         g = cycle_graph(6)
-        color, conflict = graphs._two_coloring(g)
-        assert conflict is None
-        assert all(color[u] != color[v] for u, v in g.edges)
+        assert graphs._conflict_vertex(g) is None
+        assert not has_odd_closed_walk(g)
 
     def test_single_edge_is(self):
-        assert graphs._two_coloring(path_graph([1])) == ([0, 1], None)
+        assert graphs._conflict_vertex(path_graph([1])) is None
 
     def test_odd_walk_valid_on_random_graphs(self):
         rng = random.Random(11)
         for _ in range(40):
             g = random_graph(rng)
-            color, conflict = graphs._two_coloring(g)
-            if conflict is None:
-                assert all(color[u] != color[v] for u, v in g.edges)
-            else:
+            conflict = graphs._conflict_vertex(g)
+            assert (conflict is not None) == has_odd_closed_walk(g)
+            if conflict is not None:
                 walk = graphs._odd_walk_through(g, conflict)
                 assert walk[0] == walk[-1] and (len(walk) - 1) % 2 == 1
                 assert is_walk(g, walk)
@@ -423,7 +446,7 @@ class TestBipartiteness:
         for _ in range(40):
             first, second = random_bipartite_graph(rng), random_nonbipartite_graph(rng)
             g = disjoint_union(first, second, random_graph(rng))
-            conflict = graphs._two_coloring(g)[1]
+            conflict = graphs._conflict_vertex(g)
             offset = first.vertex_count
             assert conflict is not None and offset <= conflict < offset + second.vertex_count
             walk = graphs._odd_walk_through(g, conflict)
@@ -438,11 +461,8 @@ class TestBipartiteness:
             parts.append(cycle_graph(2 * rng.randint(2, 5)))
             rng.shuffle(parts)
             g = disjoint_union(*parts)
-            color, conflict = graphs._two_coloring(g)
-            assert conflict is None
-            assert len(color) == g.vertex_count
-            assert set(color) <= {0, 1}
-            assert all(color[u] != color[v] for u, v in g.edges)
+            assert graphs._conflict_vertex(g) is None
+            assert not has_odd_closed_walk(g)
 
 
 class TestShortestOddCycle:
@@ -477,9 +497,9 @@ class TestShortestOddCycle:
         assert is_walk(g, walk)
 
     def test_builds_only_the_reported_witness(self, monkeypatch):
-        # The two-coloring's conflict vertex decides bipartiteness and gives
-        # the first bound without an odd-walk witness; only the reported
-        # cycle is built as a walk.
+        # The conflict vertex decides bipartiteness and gives the first
+        # bound without an odd-walk witness; only the reported cycle is
+        # built as a walk.
         walks = []
         real = graphs._odd_walk_through
         monkeypatch.setattr(graphs, "_odd_walk_through", lambda g, s: walks.append(s) or real(g, s))
@@ -501,7 +521,8 @@ class TestShortestOddCycle:
             edges = [(n - 1 - v, n - 1 - u, w) for u, v, w in edges]
         g = WeightedGraph(n, edges)
         calls = []
-        monkeypatch.setattr(WeightedGraph, "neighbors", lambda self, v: calls.append(v) or self._neighbors[v])
+        real = WeightedGraph.neighbors
+        monkeypatch.setattr(WeightedGraph, "neighbors", lambda self, v: calls.append(v) or real(self, v))
         report = shortest_odd_cycle(g)
         assert report.length == 3
         assert report.witness == ((n - 3, n - 2, n - 1, n - 3) if at_end else (0, 1, 2, 0))
@@ -540,7 +561,7 @@ class TestShortestOddCycle:
             expected = enumerate_shortest_odd_cycle(g)
             report = shortest_odd_cycle(g)
             assert report.length == expected
-            assert (report.length is None) == (graphs._two_coloring(g)[1] is None)
+            assert (report.length is None) == (graphs._conflict_vertex(g) is None)
             if report.witness is not None:
                 walk = report.witness
                 assert walk[0] == walk[-1]
@@ -592,7 +613,7 @@ class TestDoubleGraph:
         assert set(g.edges) == {(0, 4), (1, 3), (0, 5), (2, 3), (1, 5), (2, 4)}
         assert all(g.weight(*e) == 1 for e in g.edges)
         assert all(len(g.neighbors(v)) == 2 for v in range(6))
-        assert graphs._two_coloring(g)[1] is None
+        assert graphs._conflict_vertex(g) is None
 
     def test_single_edge_becomes_two_disjoint_edges(self):
         doubled = double_graph(path_graph([Fraction(5, 2)]))

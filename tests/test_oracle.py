@@ -9,7 +9,6 @@ from helpers import cycle_graph, path_graph, random_graph, star_graph, triangle
 
 from covergame import (
     CapExceededError,
-    OracleBudget,
     brute_core_check,
     brute_fractional_optimum,
     brute_min_cover,
@@ -35,8 +34,9 @@ class TestBruteMinCover:
         assert brute_min_cover(star_graph(3), range(4)) == 3
 
     def test_budget(self):
-        with pytest.raises(CapExceededError):
-            brute_min_cover(triangle(), {0, 1, 2}, OracleBudget(max_cover_edges=2))
+        message = "^21 candidate edges exceed the oracle budget of 20$"
+        with pytest.raises(CapExceededError, match=message):
+            brute_min_cover(path_graph([1] * 21), range(22))
 
     def test_agrees_with_exact_solver(self):
         rng = random.Random(83)
@@ -85,8 +85,9 @@ class TestBruteCoreCheck:
         assert brute_core_check(triangle(), (F(0),) * 3)[0]
 
     def test_budget(self):
-        with pytest.raises(CapExceededError):
-            brute_core_check(triangle(), (F(0),) * 3, OracleBudget(max_coalition_vertices=2))
+        message = "^13 vertices exceed the coalition oracle budget of 12$"
+        with pytest.raises(CapExceededError, match=message):
+            brute_core_check(path_graph([1] * 12), (F(0),) * 13)
 
     def test_negative_allocation_rejected(self):
         with pytest.raises(ValueError):
@@ -99,13 +100,3 @@ class TestBruteCoreCheck:
             a = tuple(F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(g.vertex_count))
             assert brute_core_check(g, a)[0] == check_core_dual(g, a)[0]
 
-
-class TestBudgetType:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            OracleBudget(max_cover_edges=0)
-
-    def test_replace_checks_like_the_constructor(self):
-        assert OracleBudget()._replace(max_cover_edges=5) == OracleBudget(5, 12)
-        with pytest.raises(ValueError):
-            OracleBudget()._replace(max_coalition_vertices=0)
