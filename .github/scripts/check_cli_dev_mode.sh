@@ -62,8 +62,19 @@ expect 0 verify tests/data/triangle.g tests/data/triangle.good.alloc --exhaustiv
 expect 3 verify tests/data/triangle.g tests/data/triangle.bad.alloc
 expect 1 gap tests/data/triangle.bad.alloc
 expect 1 no-such-command tests/data/triangle.g
-expect 1 cover tests/data/triangle.g --cap "$(printf '9%.0s' $(seq 5000))"
-expect 2 cover tests/data/house.g --cap 1
+expect 1 cost tests/data/triangle.g --coalition "$(printf '9%.0s' $(seq 5000))"
+
+# K8 with unit weights: its 28 edges exceed the exact solver's cap of 24.
+over_cap=$(mktemp)
+trap 'rm -f "$over_cap"' EXIT
+{
+    echo "8 28"
+    for u in $(seq 0 6); do
+        for v in $(seq $((u + 1)) 7); do echo "$u $v 1"; done
+    done
+} > "$over_cap"
+expect 2 cover "$over_cap"
+expect 0 allocate "$over_cap"
 
 echo "$runs runs under -X dev -W error, $bad failed"
 [ "$bad" -eq 0 ]

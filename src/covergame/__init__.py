@@ -23,7 +23,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

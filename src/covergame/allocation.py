@@ -13,14 +13,15 @@ from fractions import Fraction
 
 from .covers import _optimal_packing
 from .game import Allocation, coalition_cost, integrality_gap
-from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, WeightedGraph
+from .graphs import CapExceededError, WeightedGraph
 
 
 @dataclass(frozen=True)
 class AllocationReport:
     """A stable allocation with its guaranteed and achieved fractions of
-    the grand coalition cost; cost fields are None when the exact cover
-    solver cap was exceeded."""
+    the grand coalition cost. ``grand_cost`` and ``ratio`` are None when
+    the grand coalition has more candidate edges than the exact cover
+    solver's cap; ``ratio`` is also None when the grand cost is 0."""
 
     allocation: Allocation
     alpha: Fraction
@@ -29,9 +30,7 @@ class AllocationReport:
     ratio: Fraction | None
 
 
-def allocate_alpha_core(
-    g: WeightedGraph, *, max_candidate_edges: int = EXACT_CANDIDATE_CAP
-) -> AllocationReport:
+def allocate_alpha_core(g: WeightedGraph) -> AllocationReport:
     """Allocation from an optimal dual packing solution.
 
     Packing feasibility is the core property coalition by coalition, and
@@ -47,7 +46,7 @@ def allocate_alpha_core(
     alpha = 1 / gap.rho
 
     try:
-        grand = coalition_cost(g, g.vertices(), max_candidate_edges=max_candidate_edges)
+        grand = coalition_cost(g, g.vertices())
     except CapExceededError:
         grand = None
     ratio = None

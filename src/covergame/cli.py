@@ -25,23 +25,11 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, load_graph
-from .rationals import _all_digits, _echo, _parse_integer, format_rational
+from .graphs import CapExceededError, load_graph
+from .rationals import _echo, _parse_integer, format_rational
 
 if TYPE_CHECKING:  # each handler imports the layer it runs
     from .covers import CoverCertificate
-
-
-def _count(text: str) -> int:
-    """argparse type of every numeric flag: ASCII digits only, so a bad
-    value is a usage error. A number too long for ``int()`` is one too,
-    quoted like any other bad token."""
-    if _all_digits(text):
-        try:
-            return int(text)
-        except ValueError:  # more digits than the interpreter converts
-            pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {_echo(text)}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,7 +77,7 @@ def _cover_output(cert: CoverCertificate, cycles=None) -> tuple[dict, list[str]]
 def _cmd_cover(g, args) -> tuple[int, dict, list[str]]:
     from .covers import min_edge_cover_exact
 
-    return 0, *_cover_output(min_edge_cover_exact(g, max_candidate_edges=args.cap))
+    return 0, *_cover_output(min_edge_cover_exact(g))
 
 
 def _cmd_frac_cover(g, args) -> tuple[int, dict, list[str]]:
@@ -128,7 +116,7 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
 def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
     from .allocation import allocate_alpha_core
 
-    report = allocate_alpha_core(g, max_candidate_edges=args.cap)
+    report = allocate_alpha_core(g)
     grand_cost, ratio = (
         None if x is None else format_rational(x) for x in (report.grand_cost, report.ratio)
     )
@@ -162,7 +150,7 @@ def _cmd_cost(g, args) -> tuple[int, dict, list[str]]:
     from .game import coalition_cost
 
     members = _parse_members(args.coalition)
-    cost = format_rational(coalition_cost(g, members, max_candidate_edges=args.cap))
+    cost = format_rational(coalition_cost(g, members))
     coalition = sorted(set(members))
     lines = [f"coalition: {_fmt_members(coalition)}", f"cost: {cost}"]
     return 0, {"coalition": coalition, "cost": cost}, lines
@@ -238,11 +226,6 @@ def _build_parser() -> _Parser:
     commands["cost"].add_argument(
         "--coalition", required=True, help="comma-separated vertex ids, e.g. 0,2,5"
     )
-    for name in ("cover", "allocate", "cost"):
-        commands[name].add_argument(
-            "--cap", type=_count, default=EXACT_CANDIDATE_CAP,
-            help="candidate-edge cap for the exact solver",
-        )
     commands["frac-cover"].add_argument(
         "--canonical",
         action="store_true",

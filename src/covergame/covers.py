@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, Edge, WeightedGraph, coalition
+from .graphs import CapExceededError, Edge, WeightedGraph, coalition
 from .graphs import double_graph, edge_key
 from .graphs import _bfs_distances, _conflict_vertex, _lex_shortest_path  # the shared traversal
 from .rationals import HALF, ONE, ZERO, _fraction
@@ -26,6 +26,10 @@ if TYPE_CHECKING:  # the LP module loads only when a cover is solved
 # Every half-integral entry this module builds is one of the three shared
 # constants, so a vector holds no Fraction of its own per edge.
 _SHARED = {x: x for x in (ZERO, HALF, ONE)}
+
+# Most candidate edges the exact cover search takes: its run time grows
+# exponentially in their number.
+EXACT_CANDIDATE_CAP = 24
 
 EdgeVector = dict[Edge, Fraction]
 _Cycles = tuple[tuple[int, ...], ...]  # closed vertex walks
@@ -88,10 +92,7 @@ def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> Edge
 
 
 def min_edge_cover_exact(
-    g: WeightedGraph,
-    members: Iterable[int] | None = None,
-    *,
-    max_candidate_edges: int = EXACT_CANDIDATE_CAP,
+    g: WeightedGraph, members: Iterable[int] | None = None
 ) -> CoverCertificate:
     """Exact minimum-weight cover of a coalition by branch and bound.
 
@@ -100,14 +101,16 @@ def min_edge_cover_exact(
     uncovered vertex and tries its covering edges cheapest-first, pruning
     with the admissible bound sum(cheapest incident weight)/2 (each edge
     covers at most two uncovered vertices). First-found optima are kept,
-    so the result is deterministic. Too many candidates, or a search too
-    deep for the interpreter's stack, raise CapExceededError.
+    so the result is deterministic. More than ``EXACT_CANDIDATE_CAP``
+    candidates raise CapExceededError. The search recurses once per chosen
+    edge, and no edge is chosen twice on one branch, so it is at most that
+    cap deep, far below the interpreter's recursion limit.
     """
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
-    if len(candidates) > max_candidate_edges:
+    if len(candidates) > EXACT_CANDIDATE_CAP:
         raise CapExceededError(
-            f"{len(candidates)} candidate edges exceed the exact-solver cap of {max_candidate_edges}"
+            f"{len(candidates)} candidate edges exceed the exact-solver cap of {EXACT_CANDIDATE_CAP}"
         )
 
     options = {
@@ -135,10 +138,7 @@ def min_edge_cover_exact(
             search(uncovered - set(e), chosen, weight + g.weight(*e))
             chosen.pop()
 
-    try:
-        search(frozenset(s), [], ZERO)
-    except RecursionError:  # one level per chosen edge
-        raise CapExceededError("exact search is deeper than the recursion limit") from None
+    search(frozenset(s), [], ZERO)
     assert best_weight is not None and best_edges is not None
     values = {e: ZERO for e in g.edges}
     for e in best_edges:

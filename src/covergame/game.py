@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .graphs import EXACT_CANDIDATE_CAP, CapExceededError, Edge, WeightedGraph, edge_key
+from .graphs import CapExceededError, Edge, WeightedGraph, edge_key
 from .graphs import shortest_odd_cycle
 from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
 
@@ -82,16 +82,11 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
     return tuple(values[v] for v in range(vertex_count))
 
 
-def coalition_cost(
-    g: WeightedGraph,
-    members: Iterable[int],
-    *,
-    max_candidate_edges: int = EXACT_CANDIDATE_CAP,
-) -> Fraction:
+def coalition_cost(g: WeightedGraph, members: Iterable[int]) -> Fraction:
     """c(S): the minimum weight of an edge set covering the coalition."""
     from .covers import min_edge_cover_exact
 
-    return min_edge_cover_exact(g, members, max_candidate_edges=max_candidate_edges).weight
+    return min_edge_cover_exact(g, members).weight
 
 
 def check_core_dual(

@@ -5,8 +5,7 @@ test, shortest odd cycles, and the bipartite doubling construction.
 and one tie-broken path: the bipartiteness test, the odd-walk witness, the
 truncated odd-cycle search and the canonical rounding in ``covers`` all use
 them. Both input-error types live here: ``GraphFormatError`` for graph
-text and ``CapExceededError`` for instances beyond a search budget, next
-to the exact cover solver's default budget, ``EXACT_CANDIDATE_CAP``.
+text and ``CapExceededError`` for instances beyond a search budget.
 
 Every operation is a pure function, and a graph's vertices, edges and
 weights never change after construction. Its adjacency tuples are built
@@ -47,10 +46,6 @@ class GraphFormatError(ValueError):
 
 class CapExceededError(ValueError):
     """An instance is too large for an exact-search cap or an oracle budget."""
-
-
-# Default candidate-edge cap of the exact cover solver, shared by every caller.
-EXACT_CANDIDATE_CAP = 24
 
 
 def edge_key(u: int, v: int) -> Edge:

@@ -3,14 +3,13 @@
 Weights, cover values, and allocations travel through files and JSON as
 strings like "5/2" or "3"; decimal and exponent forms are rejected so no
 floating point can leak into the pipeline. ``_all_digits`` is the one
-digit rule, for each integer part of a token and each numeric CLI flag: a
-non-empty run of ASCII digits, so no "+", "_", whitespace or other digits;
-an integer token may start with one "-". Each part is read by ``int``, so
-it may have at most the interpreter's int-to-str limit of digits (4300 by
-default). Graph and allocation files share one reader of their numbered
-lines. The module also holds the three constants that the other modules
-share, and the one conversion to Fraction, which refuses any number that
-is not exact.
+digit rule, for each integer part of a token: a non-empty run of ASCII
+digits, so no "+", "_", whitespace or other digits; an integer token may
+start with one "-". Each part is read by ``int``, so it may have at most
+the interpreter's int-to-str limit of digits (4300 by default). Graph
+and allocation files share one reader of their numbered lines. The module
+also holds the three constants that the other modules share, and the one
+conversion to Fraction, which refuses any number that is not exact.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from covergame.graphs import _conflict_vertex
 from covergame.rationals import _echo
 
 # The token rules as regexes: the reference the readers of ``rationals``
-# and the CLI's numeric flags are checked against.
+# are checked against.
 INTEGER_RE = re.compile(r"-?[0-9]+")
 RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -71,6 +71,11 @@ def path_graph(weights) -> WeightedGraph:
 
 def star_graph(leaves: int, weight=Fraction(1)) -> WeightedGraph:
     return WeightedGraph(leaves + 1, [(0, i, Fraction(weight)) for i in range(1, leaves + 1)])
+
+
+def complete_graph(n: int, weight=Fraction(1)) -> WeightedGraph:
+    pairs = itertools.combinations(range(n), 2)
+    return WeightedGraph(n, [(u, v, Fraction(weight)) for u, v in pairs])
 
 
 def triangle(weight=Fraction(1)) -> WeightedGraph:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    complete_graph,
     cycle_graph,
     path_graph,
     random_bipartite_graph,
@@ -99,8 +100,9 @@ class TestExactCover:
             assert cert.weight == sum(g.weight(*e) for e in chosen)
 
     def test_cap(self):
-        with pytest.raises(CapExceededError):
-            min_edge_cover_exact(triangle(), max_candidate_edges=2)
+        message = "^28 candidate edges exceed the exact-solver cap of 24$"
+        with pytest.raises(CapExceededError, match=message):
+            min_edge_cover_exact(complete_graph(8))
 
     def test_zero_weight_edges(self):
         g = WeightedGraph(3, [(0, 1, F(0)), (1, 2, F(0)), (0, 2, F(5))])

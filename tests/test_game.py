@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    complete_graph,
     cycle_graph,
     disjoint_union,
     fraction_check_core_dual,
@@ -109,8 +110,9 @@ class TestCoalitionCost:
         assert coalition_cost(g, {1}) == 2
 
     def test_cap_error(self):
-        with pytest.raises(CapExceededError):
-            coalition_cost(triangle(), {0, 1, 2}, max_candidate_edges=1)
+        message = "^28 candidate edges exceed the exact-solver cap of 24$"
+        with pytest.raises(CapExceededError, match=message):
+            coalition_cost(complete_graph(8), range(8))
 
     def test_core_and_grand_cost_match_the_induced_definition(self):
         # c(S) here may also use the edges crossing S's boundary; the paper
@@ -239,9 +241,13 @@ class TestAllocation:
         assert report.alpha == 1
 
     def test_cap_exceeded_leaves_cost_fields_unavailable(self):
-        report = allocate_alpha_core(triangle(), max_candidate_edges=1)
+        report = allocate_alpha_core(complete_graph(8))  # 28 edges, over the cap of 24
         assert report.grand_cost is None and report.ratio is None
-        assert report.total == F(3, 2)
+        assert report.total == 4
+
+    def test_zero_grand_cost_leaves_ratio_unavailable(self):
+        report = allocate_alpha_core(triangle(F(0)))
+        assert report.grand_cost == 0 and report.ratio is None
 
     def test_output_passes_all_checkers(self):
         rng = random.Random(71)

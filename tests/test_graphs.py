@@ -382,7 +382,7 @@ class TestCoalitionEdges:
     def test_partition_property(self):
         # The edges split into E[S], delta(S) and the rest. The exact
         # solver's candidates are E[S] and delta(S), so the rest never
-        # enters a cover and the cap counts exactly the first two parts.
+        # enters a cover.
         rng = random.Random(7)
         for _ in range(30):
             g = random_graph(rng)
@@ -395,10 +395,23 @@ class TestCoalitionEdges:
             assert all(e[0] not in members and e[1] not in members for e in outside)
             chosen = {e for e, x in min_edge_cover_exact(g, members).values.items() if x}
             assert chosen <= inside | crossing
-            k = len(inside | crossing)
-            message = f"^{k} candidate edges exceed the exact-solver cap of {k - 1}$"
-            with pytest.raises(CapExceededError, match=message):
-                min_edge_cover_exact(g, members, max_candidate_edges=k - 1)
+
+    def test_cap_counts_inside_and_crossing_edges(self):
+        # K8 without the edge 0-1: a coalition of five vertices has as
+        # candidates every edge but those among the other three.
+        rng = random.Random(13)
+        pairs = [e for e in itertools.combinations(range(8), 2) if e != (0, 1)]
+        weights = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in pairs]
+        g = WeightedGraph(8, [(u, v, w) for (u, v), w in zip(pairs, weights)])
+        members = {0, 1, 2, 3, 4}  # the three others, 5, 6 and 7, keep all 3 of their edges
+        candidates = {e for e in g.edges if e[0] in members or e[1] in members}
+        assert len(candidates) == 24
+        chosen = {e for e, x in min_edge_cover_exact(g, members).values.items() if x}
+        assert chosen <= candidates
+        assert all(any(v in e for e in chosen) for v in members)
+        message = "^25 candidate edges exceed the exact-solver cap of 24$"
+        with pytest.raises(CapExceededError, match=message):
+            min_edge_cover_exact(g, {2, 3, 4, 5, 6})  # 0, 1 and 7 keep 2 edges
 
 
 def has_odd_closed_walk(g: WeightedGraph) -> bool:

@@ -1,15 +1,12 @@
-"""The one digit rule: the integer and rational readers and the CLI's
-numeric flags accept and reject exactly what the reference regexes of
-``helpers`` do, with equal values and equal messages."""
-
-import argparse
+"""The one digit rule: the integer and rational readers accept and reject
+exactly what the reference regexes of ``helpers`` do, with equal values
+and equal messages."""
 
 import pytest
-from helpers import INTEGER_RE, reference_parse_integer, reference_parse_rational
+from helpers import reference_parse_integer, reference_parse_rational
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covergame.cli import _count
 from covergame.rationals import _echo, _parse_integer, parse_rational
 
 PROPERTY = settings(derandomize=True, max_examples=400, deadline=None, database=None)
@@ -28,21 +25,11 @@ TOKENS = st.one_of(
 )
 
 
-def reference_count(text: str) -> int:
-    """A numeric flag: INTEGER_RE without the sign, within ``int``'s limit."""
-    if INTEGER_RE.fullmatch(text) is not None and not text.startswith("-"):
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {_echo(text)}")
-
-
 def outcome(read, token):
     """(value, None) when ``read`` takes the token, else (None, its error)."""
     try:
         return read(token), None
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+    except ValueError as exc:
         return None, (type(exc), str(exc))
 
 
@@ -50,7 +37,6 @@ def assert_follows_reference(token: str) -> None:
     for read, reference in [
         (_parse_integer, reference_parse_integer),
         (parse_rational, reference_parse_rational),
-        (_count, reference_count),
     ]:
         got, expected = outcome(read, token), outcome(reference, token)
         assert got == expected and type(got[0]) is type(expected[0]), read.__name__
