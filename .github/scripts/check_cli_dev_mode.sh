@@ -66,7 +66,9 @@ expect 1 cost tests/data/triangle.g --coalition "$(printf '9%.0s' $(seq 5000))"
 
 # K8 with unit weights: its 28 edges exceed the exact solver's cap of 24.
 over_cap=$(mktemp)
-trap 'rm -f "$over_cap"' EXIT
+separated=$(mktemp)
+separated_alloc=$(mktemp)
+trap 'rm -f "$over_cap" "$separated" "$separated_alloc"' EXIT
 {
     echo "8 28"
     for u in $(seq 0 6); do
@@ -75,6 +77,15 @@ trap 'rm -f "$over_cap"' EXIT
 } > "$over_cap"
 expect 2 cover "$over_cap"
 expect 0 allocate "$over_cap"
+
+# "#" comments holding a VT and a U+2028 (UTF-8 e2 80 a8): lines end at
+# LF, CRLF and CR only, so each comment stays one line.
+printf '# unit triangle\v(VT)\xe2\x80\xa8(U+2028)\n3 3\n0 1 1\n1 2 1\n0 2 1\n' > "$separated"
+printf '# shares\v(VT)\xe2\x80\xa8(U+2028)\n0 1/2\n1 1/2\n2 1/2\n' > "$separated_alloc"
+expect 0 gap "$separated"
+expect 0 frac-cover "$separated" --canonical
+expect 0 cost "$separated" --coalition 0,1
+expect 0 verify "$separated" "$separated_alloc"
 
 echo "$runs runs under -X dev -W error, $bad failed"
 [ "$bad" -eq 0 ]

@@ -23,18 +23,19 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
     name: module
     for module, names in {
-        "allocation": "AllocationReport allocate_alpha_core",
+        "allocation": "AllocationReport",
         "covers": """CoverCertificate EdgeVector canonicalize_to_odd_cycles cover_weight
             fractional_support_cycles half_integral_cover is_feasible_cover
             is_half_integral min_edge_cover_exact""",
-        "game": """Allocation GapReport check_core_dual check_core_stars coalition_cost
-            exact_best_ratio integrality_gap parse_allocation verify_scaled_cover_membership""",
+        "game": """Allocation GapReport allocate_alpha_core check_core_dual check_core_stars
+            coalition_cost exact_best_ratio integrality_gap parse_allocation
+            verify_scaled_cover_membership""",
         "graphs": """CapExceededError DoubledGraph Edge GraphFormatError OddCycleReport
             WeightedGraph coalition double_graph edge_key load_graph parse_graph
             shortest_odd_cycle""",

@@ -25,8 +25,8 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .graphs import CapExceededError, load_graph
-from .rationals import _echo, _parse_integer, format_rational
+from .graphs import CapExceededError, edge_key, load_graph
+from .rationals import ONE, _echo, _parse_integer, format_rational
 
 if TYPE_CHECKING:  # each handler imports the layer it runs
     from .covers import CoverCertificate
@@ -99,22 +99,24 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
     from .game import integrality_gap
 
     report = integrality_gap(g)
+    cycle = report.cycle  # the witness weights are 1 on its edges, sorted by _entries
+    weights = None if cycle is None else dict.fromkeys(map(edge_key, cycle, cycle[1:]), ONE)
     payload = {
         "ell": report.ell,
         "rho": format_rational(report.rho),
-        "cycle": None if report.cycle is None else list(report.cycle),
-        "witness_weights": _entries(report.witness_weights),
+        "cycle": None if cycle is None else list(cycle),
+        "witness_weights": _entries(weights),
     }
     lines = [
         f"ell: {'none' if report.ell is None else report.ell}",
         f"rho: {payload['rho']}",
-        f"cycle: {'none' if report.cycle is None else _fmt_walk(report.cycle)}",
+        f"cycle: {'none' if cycle is None else _fmt_walk(cycle)}",
     ]
     return 0, payload, lines
 
 
 def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
-    from .allocation import allocate_alpha_core
+    from .game import allocate_alpha_core
 
     report = allocate_alpha_core(g)
     grand_cost, ratio = (

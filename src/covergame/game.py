@@ -1,8 +1,8 @@
 """The edge cover game: coalition costs, stability checkers, the
-per-instance integrality gap, and odd-set membership verification. The
-dual-based allocation lives in ``allocation``. The functions that compute a
-cover import ``covers`` when they run, so the checkers and the gap load no
-cover code.
+per-instance integrality gap, the dual-based allocation, and odd-set
+membership verification. The functions that compute a cover import
+``covers`` when they run, so the checkers and the gap load no cover code,
+and only ``allocate_alpha_core`` loads ``allocation`` and its dataclass.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -22,11 +22,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .graphs import CapExceededError, Edge, WeightedGraph, edge_key
-from .graphs import shortest_odd_cycle
-from .rationals import ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
+from .graphs import CapExceededError, Edge, WeightedGraph, shortest_odd_cycle
+from .rationals import ONE, _echo, _fraction, _parse_integer, _significant_lines, parse_rational
 
-if TYPE_CHECKING:  # covers loads only when a cover is computed
+if TYPE_CHECKING:  # covers and allocation load only when they are used
+    from .allocation import AllocationReport
     from .covers import EdgeVector
 
 Allocation = tuple[Fraction, ...]
@@ -146,25 +146,54 @@ class GapReport(NamedTuple):
     """Integrality gap of the covering relaxation on one graph.
 
     rho = 1 + 1/ell where ell is the shortest odd cycle length, or 1 on
-    bipartite graphs. The witness weighting puts unit weights on one
-    shortest odd cycle. The gap is attained on the subgraph that cycle
-    induces, the chordless cycle itself with unit weights; on G, zero-weight
-    edges off the cycle can cover its vertices for free."""
+    bipartite graphs. ``cycle`` is one shortest odd cycle, a closed walk
+    (first = last). The gap is attained on the subgraph it induces, the
+    chordless cycle itself with unit weights; on G, zero-weight edges off
+    the cycle can cover its vertices for free."""
 
     ell: int | None
     rho: Fraction
     cycle: tuple[int, ...] | None
-    witness_weights: dict[Edge, Fraction] | None
 
 
 def integrality_gap(g: WeightedGraph) -> GapReport:
     report = shortest_odd_cycle(g)
     if report.length is None:
-        return GapReport(None, ONE, None, None)
-    assert report.witness is not None
-    cycle_edges = {edge_key(a, b) for a, b in zip(report.witness, report.witness[1:])}
-    weights = {e: (ONE if e in cycle_edges else ZERO) for e in g.edges}
-    return GapReport(report.length, ONE + Fraction(1, report.length), report.witness, weights)
+        return GapReport(None, ONE, None)
+    return GapReport(report.length, ONE + Fraction(1, report.length), report.witness)
+
+
+def allocate_alpha_core(g: WeightedGraph) -> AllocationReport:
+    """Allocation from an optimal dual packing solution.
+
+    Packing feasibility is the core property coalition by coalition, and
+    the total equals the fractional covering optimum (``solve`` certifies
+    both by the LP dual, a fractional cover of equal weight). That total is
+    at least ell/(ell+1) of the integral grand cost because the
+    integrality gap is 1 + 1/ell (ell the shortest odd cycle length); on
+    bipartite graphs the total matches the grand cost exactly. Both bounds
+    are asserted whenever the grand cost is within the cap.
+    """
+    from .allocation import AllocationReport
+    from .covers import _optimal_packing
+
+    allocation, total = _optimal_packing(g)
+    gap = integrality_gap(g)
+    alpha = 1 / gap.rho
+
+    try:
+        grand = coalition_cost(g, g.vertices())
+    except CapExceededError:
+        grand = None
+    ratio = None
+    if grand is not None:
+        if total < alpha * grand:
+            raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
+        if gap.ell is None and total != grand:
+            raise RuntimeError("bipartite allocation total must equal the grand cost")
+        if grand:
+            ratio = total / grand
+    return AllocationReport(allocation, alpha, total, grand, ratio)
 
 
 def verify_scaled_cover_membership(

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from operator import index
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
@@ -75,6 +76,7 @@ class WeightedGraph:
         weight: dict[Edge, Fraction] = {}
         ends: set[int] = set()
         for u, v, w in weighted_edges:
+            u, v = index(u), index(v)  # a float, a Fraction or a str raises TypeError
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 message = f"edge ({_echo(u)}, {_echo(v)}) is out of range"
                 raise GraphFormatError("vertex-range", message)
@@ -203,8 +205,8 @@ def load_graph(path: str | Path) -> WeightedGraph:
 
 
 def coalition(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:
-    """Validate a coalition: a nonempty subset of the vertex set."""
-    s = frozenset(members)
+    """Validate a coalition: a nonempty subset of the vertex set (ints only)."""
+    s = frozenset(map(index, members))
     if not s:
         raise ValueError("coalition must be nonempty")
     for v in s:

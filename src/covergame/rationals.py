@@ -64,9 +64,11 @@ def _parse_integer(token: str) -> int:
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
     """The stripped lines of a text file that are neither blank nor "#"
-    comments, with their 1-based numbers. One leading byte-order mark
-    (U+FEFF) is dropped; one anywhere else stays in its line."""
-    lines = text.removeprefix("\ufeff").splitlines()
+    comments, with their 1-based numbers. Lines end at LF, CRLF or CR only,
+    as ``Path.read_text`` reads them, so VT, FF, U+2028 and the other breaks
+    of ``str.splitlines`` stay whitespace in their line. One leading
+    byte-order mark (U+FEFF) is dropped; one anywhere else stays in its line."""
+    lines = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
     numbered = ((line_no, raw.strip()) for line_no, raw in enumerate(lines, start=1))
     return [(line_no, line) for line_no, line in numbered if line and not line.startswith("#")]
 

@@ -37,6 +37,16 @@ def reference_parse_rational(token: str) -> Fraction:
     return Fraction(numerator, denominator)
 
 
+# The breaks of str.splitlines that are not universal newlines, by their
+# names. The text readers end lines at LF, CRLF and CR only, so these stay
+# inside a line, where they are whitespace.
+LINE_SEPARATORS = {
+    "VT": "\v", "FF": "\f", "FS": "\x1c", "GS": "\x1d", "RS": "\x1e",
+    "NEL": "\x85", "LS": "\u2028", "PS": "\u2029",
+}
+NEWLINES = ("\n", "\r\n", "\r")
+
+
 def cycle_graph(k: int, weight=Fraction(1)) -> WeightedGraph:
     return WeightedGraph(k, [(i, (i + 1) % k, Fraction(weight)) for i in range(k)])
 

@@ -1,12 +1,15 @@
 """Coalition costs, core checkers, the dual allocation, integrality gaps,
 and odd-set membership."""
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 from helpers import (
+    LINE_SEPARATORS,
+    NEWLINES,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -37,6 +40,7 @@ from covergame import (
     solve,
     verify_scaled_cover_membership,
 )
+from covergame.cli import main
 from covergame.game import ODD_SET_CAP
 
 F = Fraction
@@ -287,17 +291,32 @@ class TestGap:
         report = integrality_gap(g)
         assert report.ell == 3 and report.rho == F(4, 3)
 
-    def test_bipartite(self):
-        report = integrality_gap(cycle_graph(6))
-        assert report.ell is None and report.rho == 1
-        assert report.cycle is None and report.witness_weights is None
+    @staticmethod
+    def gap_json(tmp_path, capsys, g):
+        path = tmp_path / "g.g"
+        path.write_text(f"{g.vertex_count} {g.edge_count}\n"
+                        + "".join(f"{u} {v} {g.weight(u, v)}\n" for u, v in g.edges))
+        assert main(["gap", str(path), "--format", "json"]) == 0
+        return json.loads(capsys.readouterr().out)
 
-    def test_five_cycle(self):
-        report = integrality_gap(cycle_graph(5))
+    def test_bipartite(self, tmp_path, capsys):
+        g = cycle_graph(6)
+        report = integrality_gap(g)
+        assert report == (None, 1, None)
+        payload = self.gap_json(tmp_path, capsys, g)
+        assert payload["cycle"] is None and payload["witness_weights"] is None
+
+    def test_five_cycle(self, tmp_path, capsys):
+        # The 4-cycle's edges are off the odd cycle, so they carry no weight.
+        g = disjoint_union(cycle_graph(4), cycle_graph(5))
+        report = integrality_gap(g)
         assert report.ell == 5 and report.rho == F(6, 5)
-        cycle_edges = {tuple(sorted(e)) for e in zip(report.cycle, report.cycle[1:])}
-        assert all(report.witness_weights[e] == (1 if e in cycle_edges else 0)
-                   for e in cycle_graph(5).edges)
+        assert report.cycle == (4, 5, 6, 7, 8, 4)
+        payload = self.gap_json(tmp_path, capsys, g)
+        assert payload["cycle"] == list(report.cycle)
+        assert payload["witness_weights"] == [
+            {"edge": list(e), "value": "1"} for e in [(4, 5), (4, 8), (5, 6), (6, 7), (7, 8)]
+        ]
 
     def test_gap_is_attained_on_the_induced_cycle(self):
         # On G itself zero-weight edges off the cycle can cover it for free;
@@ -324,7 +343,7 @@ class TestScaledMembership:
     def test_triangle_unscaled_fails_at_grand_set(self, monkeypatch):
         # Scaled by 1 + 1/ell, every feasible half-integral cover passes, so
         # only a gap of rho = 1 reaches the violation branch.
-        no_gap = GapReport(None, F(1), None, None)
+        no_gap = GapReport(None, F(1), None)
         monkeypatch.setattr("covergame.game.integrality_gap", lambda g: no_gap)
         g = triangle()
         xt = {e: HALF for e in g.edges}
@@ -412,6 +431,15 @@ class TestAllocationFiles:
     def test_leading_byte_order_mark(self):
         assert parse_allocation("\ufeff0 1/2\n2 0\n1 5/4\n", 3) == (HALF, F(5, 4), F(0))
         assert parse_allocation("\ufeff# c\n0 1/2\n2 0\n1 5/4\n", 3) == (HALF, F(5, 4), F(0))
+
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS.values(), ids=LINE_SEPARATORS.keys())
+    def test_other_line_breaks_stay_in_their_line(self, sep):
+        # A comment holding one stays whole; between tokens it is whitespace.
+        for nl in NEWLINES:
+            text = f"# shares{sep}from LP{nl}0 1/2{nl}1{sep}1/2{nl}2 1/2{nl}"
+            assert parse_allocation(text, 3) == (HALF, HALF, HALF)
+            with pytest.raises(ValueError, match="^line 3: bad rational 'x'$"):
+                parse_allocation(f"# shares{sep}from LP{nl}0 1/2{nl}1 x{nl}2 1/2{nl}", 3)
 
     def test_byte_order_mark_elsewhere_is_malformed(self):
         with pytest.raises(ValueError) as err:

@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import pytest
 from helpers import (
+    LINE_SEPARATORS,
+    NEWLINES,
     cycle_edges,
     cycle_graph,
     disjoint_union,
@@ -232,6 +234,25 @@ class TestParsing:
     def test_repr(self):
         assert repr(parse_graph(TRIANGLE_TEXT)) == "WeightedGraph(n=3, m=3)"
 
+    @pytest.mark.parametrize("sep", LINE_SEPARATORS.values(), ids=LINE_SEPARATORS.keys())
+    def test_other_line_breaks_stay_in_their_line(self, sep):
+        # A comment holding one stays whole; between tokens it is whitespace.
+        for nl in NEWLINES:
+            g = parse_graph(f"2{sep}1{nl}# note{sep}see below{nl}0{sep}1 1{nl}")
+            assert (g.vertex_count, g.edges, g.weight(0, 1)) == (2, ((0, 1),), 1)
+            with pytest.raises(GraphFormatError) as err:
+                parse_graph(f"2 1{nl}# note{sep}see below{nl}0 1 x{nl}")
+            assert str(err.value) == "malformed: bad weight 'x' (line 3)"
+
+    @pytest.mark.parametrize("end", [1.5, 1.0, Fraction(1)], ids=["float", "integral-float", "fraction"])
+    def test_constructor_takes_integer_vertex_ids_only(self, end):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            WeightedGraph(2, [(0, end, 1)])
+
+    def test_constructor_stores_bool_vertex_ids_as_ints(self):
+        g = WeightedGraph(2, [(False, True, 1)])
+        assert g.edges == ((0, 1),) and [type(v) for v in g.edges[0]] == [int, int]
+
 
 class TestWeightSharing:
     def test_equal_tokens_share_one_object(self):
@@ -378,6 +399,15 @@ class TestCoalitionEdges:
         echo = "9" * 40 + "\u2026"
         with pytest.raises(ValueError, match=f"^coalition member {echo} is not a vertex$"):
             coalition(triangle(), {10**5000 - 1})
+
+    def test_members_are_integers(self):
+        for members in ([0.5], [1, 2.0], [Fraction(1)]):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                coalition(triangle(), members)
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                coalition_cost(triangle(), members)
+        s = coalition(triangle(), [True, 2])
+        assert s == {1, 2} and {type(v) for v in s} == {int}
 
     def test_partition_property(self):
         # The edges split into E[S], delta(S) and the rest. The exact

@@ -70,6 +70,15 @@ def test_cli_loads_no_solver_oracle_or_json():
     assert not allocate & {"covergame.oracle", "json"}
 
 
+def test_allocation_module_holds_only_its_record():
+    # game defines allocate_alpha_core and imports AllocationReport when it
+    # runs; allocation imports nothing from the package.
+    source = Path(importlib.import_module("covergame.allocation").__file__).read_text("utf-8")
+    assert "from ." not in source
+    assert covergame.allocate_alpha_core.__module__ == "covergame.game"
+    assert covergame._EXPORTS["allocate_alpha_core"] == "game"
+
+
 def test_all_is_the_sorted_export_table():
     assert covergame.__all__ == sorted(covergame.__all__)
     assert covergame.__all__ == sorted(covergame._EXPORTS)
