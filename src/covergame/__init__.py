@@ -23,7 +23,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.5.0"
+__version__ = "0.5.1"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

@@ -2,9 +2,12 @@
 
 Subcommands: cover, frac-cover, gap, allocate, cost, verify, one row each
 of the table (name, help text, handler) the parser is built from; each
-takes --format text|json and a graph. Rationals print as "p/q" (bare integer
-when q = 1) and all iteration upstream is deterministic, so identical inputs
-produce byte-identical output.
+takes --format text|json and a graph. ``main`` loads the graph and owns
+all output. One renderer prints every cover certificate, one helper
+renders the nonzero entries of an edge vector, and one a vector of
+rationals. Rationals print as "p/q" (bare integer when q = 1) and all
+iteration upstream is deterministic, so identical inputs produce
+byte-identical output.
 
 Each handler imports the layer it runs when it runs, so a process loads
 only the modules its subcommand needs: gap and verify load no cover or LP

@@ -1,14 +1,18 @@
 """Minimum-weight edge covers, as plain values that only ``cli`` renders:
-exact integral search, half-integral covers folded from one covering LP
+exact integral search by branch and bound over at most
+``EXACT_CANDIDATE_CAP`` = 24 candidate edges (a fixed cap; ``cover`` and
+``cost`` exit 2 past it), half-integral covers folded from one covering LP
 (of the graph when it is bipartite, else of its bipartite double), the
 optimal packing LP behind every fractional optimum, and the rounding that
 leaves only vertex-disjoint odd cycles fractional. Both LPs go through one
-checked solve, ``_optimum``.
+checked solve, ``_optimum``, which accepts only an optimum.
 
 The rounding has one rule for choosing a walk in the 1/2-valued support,
 in which a simple cycle is a flower of one petal, and each pass shifts
 the walk the one way that lowers its smallest edge. It traverses the
-support with the BFS and the lexicographic shortest path of ``graphs``."""
+support with the BFS and the lexicographic shortest path of ``graphs``.
+The same rule says which support components are simple odd cycles: the
+last pass finds no walk and gives ``frac-cover --canonical`` the cycles."""
 
 from __future__ import annotations
 

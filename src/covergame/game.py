@@ -1,8 +1,10 @@
-"""The edge cover game: coalition costs, stability checkers, the
-per-instance integrality gap, the dual-based allocation, and odd-set
-membership verification. The functions that compute a cover import
-``covers`` when they run, so the checkers and the gap load no cover code,
-and only ``allocate_alpha_core`` loads ``allocation`` and its dataclass.
+"""The edge cover game: coalition costs, stability checkers in integer
+arithmetic, the per-instance integrality gap (the one place that computes
+rho = 1 + 1/ell), the dual-based allocation with its ell/(ell+1) and
+bipartite bounds, and odd-set membership verification. The functions that
+compute a cover import ``covers`` when they run, so the checkers and the
+gap load no cover code, and only ``allocate_alpha_core`` loads
+``allocation`` and its dataclass.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -20,6 +22,7 @@ coalition can differ."""
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import index
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .graphs import CapExceededError, Edge, WeightedGraph, shortest_odd_cycle
@@ -56,6 +59,7 @@ def parse_allocation(text: str, vertex_count: int) -> Allocation:
     """Parse an allocation file: one "v p/q" line per vertex, any order;
     "#" comment lines, blank lines and a leading byte-order mark are
     ignored."""
+    vertex_count = index(vertex_count)  # a float, a Fraction or a str raises TypeError
     values: dict[int, Fraction] = {}
     for line_no, line in _significant_lines(text):
         parts = line.split()

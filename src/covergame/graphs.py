@@ -1,17 +1,25 @@
-"""Weighted-graph arena: parsing, coalition validation, the bipartiteness
-test, shortest odd cycles, and the bipartite doubling construction.
+"""Weighted-graph arena: parsing of graph text, coalition validation, the
+bipartiteness test, shortest odd cycles, and the bipartite doubling
+construction. A parsed graph holds one weight object per distinct weight
+token of its file, and the tokens "0", "1" and "1/2" give the shared
+constants of ``rationals``.
 
 ``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS
 and one tie-broken path: the bipartiteness test, the odd-walk witness, the
 truncated odd-cycle search and the canonical rounding in ``covers`` all use
-them. Both input-error types live here: ``GraphFormatError`` for graph
-text and ``CapExceededError`` for instances beyond a search budget.
+them. The BFS is a plain function that returns the distance map, with an
+optional distance limit. The bipartiteness test looks for the first vertex
+with a neighbor on its own BFS level. Both input-error types live here:
+``GraphFormatError`` for graph text and ``CapExceededError`` for instances
+beyond a search budget.
 
 Every operation is a pure function, and a graph's vertices, edges and
 weights never change after construction. Its adjacency tuples are built
-later, once, on the first ``neighbors`` call, from the edge list alone.
-That build is idempotent: two threads that race build equal tuples and
-either may be kept, so sharing a graph across threads stays safe.
+later, once, on the first ``neighbors`` call, from the edge list alone, so
+a graph that is never traversed holds none: the graphs of the coalition
+cost, ``cover``, the LP builders and the double inside the half-integral
+cover. That build is idempotent: two threads that race build equal tuples
+and either may be kept, so sharing a graph across threads stays safe.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ class WeightedGraph:
     __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
 
     def __init__(self, vertex_count: int, weighted_edges: Iterable[tuple[int, int, Fraction]]):
+        vertex_count = index(vertex_count)  # like the vertex ids below
         if vertex_count <= 0:
             raise GraphFormatError("bad-header", "vertex count must be positive")
         weight: dict[Edge, Fraction] = {}

@@ -6,8 +6,9 @@ always takes the same pivot path and yields the same basic optimal
 solution. The tableau is a list of dense rows that starts from the
 program's own coefficient objects, and the arithmetic touches nonzero
 entries only: a pivot reads and writes only the nonzero entries of the
-pivot row in each row it changes, the reduced costs subtract only the
-nonzero entries of each basic row, and the certificate walks the nonzero
+pivot row in each row it changes (one update serves the constraint rows
+and the reduced-cost row), the reduced costs subtract only the nonzero
+entries of each basic row, and the certificate walks the nonzero
 coefficients of each constraint once. On the sparse covering and packing
 LPs of graphs that is a small part of the tableau. Constraints are ">="
 or "<=" only, so every row owns one slack column, and the optimal dual is
@@ -16,7 +17,9 @@ returned with its dual and certified by exact equality (there is no
 epsilon anywhere in this module): both are feasible and their objectives
 are equal, which proves both optimal.
 The covering LP of a graph and its dual packing LP are built from one
-incidence matrix: one constraint per row, and one per column.
+incidence matrix: one constraint per row, and one per column. The package
+imports this module only to build or solve an LP, or when one of its names
+is read.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 These are deliberately naive, share no optimization logic with the fast
 paths they certify, and refuse instances beyond small fixed budgets:
-``DEFAULT_BUDGET`` and ``GRID_EDGE_CAP``. The CLI exposes them behind
---exhaustive; the test suite uses them as oracles.
+``DEFAULT_BUDGET``, an ``OracleBudget`` of 20 cover edges and 12
+coalition vertices, and ``GRID_EDGE_CAP`` = 12 edges for the {0, 1/2, 1}
+grid. The CLI loads this module only for verify --exhaustive; the test
+suite uses them as oracles.
 """
 
 from __future__ import annotations

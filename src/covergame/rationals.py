@@ -8,8 +8,9 @@ digits, so no "+", "_", whitespace or other digits; an integer token may
 start with one "-". Each part is read by ``int``, so it may have at most
 the interpreter's int-to-str limit of digits (4300 by default). Graph
 and allocation files share one reader of their numbered lines. The module
-also holds the three constants that the other modules share, and the one
-conversion to Fraction, which refuses any number that is not exact.
+also holds the three constants that the other modules share, ``ZERO``,
+``HALF`` and ``ONE``, and the one conversion of an input number to
+Fraction, which takes ints and Fractions only.
 """
 
 from __future__ import annotations

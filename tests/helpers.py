@@ -1,4 +1,7 @@
-"""Shared builders for fixture and random test graphs."""
+"""Shared builders for fixture and random test graphs, and the references
+the suite checks the package against: the dense reference solver, the
+two-shift reference rounding, the paper's induced coalition cost, the
+token regexes and the Fraction core checkers."""
 
 from __future__ import annotations
 

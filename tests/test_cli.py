@@ -1,4 +1,6 @@
-"""CLI subcommands: outputs, exit codes, JSON round-trips, determinism."""
+"""CLI subcommands: outputs, exit codes, JSON round-trips, determinism,
+the pinned ``--help`` texts of tests/data/help/, and a sha256 of every
+subcommand's output on the fixtures."""
 
 import hashlib
 import json

@@ -422,6 +422,15 @@ class TestBestRatio:
             ratio = exact_best_ratio(g)
             assert ratio >= F(ell, ell + 1) >= F(3, 4)
 
+    @pytest.mark.parametrize("ell", range(3, 24, 2))
+    @pytest.mark.parametrize("weight", [1, F(918_273, 654_321)], ids=["unit", "six-digit"])
+    def test_odd_cycles_attain_their_guarantee(self, ell, weight):
+        # C23 has 23 edges, the longest odd cycle within the exact solver's
+        # cap of 24; scaling every weight by one rational keeps the ratio.
+        g = cycle_graph(ell, weight)
+        report = allocate_alpha_core(g)
+        assert exact_best_ratio(g) == report.ratio == report.alpha == F(ell, ell + 1)
+
 
 class TestAllocationFiles:
     def test_round_trip(self):
@@ -469,3 +478,15 @@ class TestAllocationFiles:
     def test_errors(self, text, message):
         with pytest.raises(ValueError, match=message):
             parse_allocation(text, 3)
+
+    @pytest.mark.parametrize("n", [3.0, F(3), "3"], ids=["float", "fraction", "str"])
+    def test_vertex_count_is_an_integer(self, n):
+        # The count is read before the first line, so a bad line never hides it.
+        for text in ("0 1/2\n1 5/4\n2 0\n", "zero 1\n"):
+            with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+                parse_allocation(text, n)
+
+    def test_bool_vertex_count_is_its_int(self):
+        assert parse_allocation("0 5/4\n", True) == (F(5, 4),)
+        with pytest.raises(ValueError, match="^line 1: vertex 0 is out of range$"):
+            parse_allocation("0 5/4\n", False)

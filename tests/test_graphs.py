@@ -253,6 +253,20 @@ class TestParsing:
         g = WeightedGraph(2, [(False, True, 1)])
         assert g.edges == ((0, 1),) and [type(v) for v in g.edges[0]] == [int, int]
 
+    @pytest.mark.parametrize("n", [2.0, Fraction(2), "2"], ids=["float", "fraction", "str"])
+    def test_constructor_takes_an_integer_vertex_count_only(self, n):
+        # Read before any other check: not a graph that fails later in a range().
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            WeightedGraph(n, [(0, 1, 1)])
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            WeightedGraph(n, [(0, 5, 1)])
+
+    def test_constructor_reads_a_bool_vertex_count_as_its_int(self):
+        with pytest.raises(GraphFormatError, match="^bad-header: vertex count must be positive$"):
+            WeightedGraph(False, [(0, 1, 1)])
+        with pytest.raises(GraphFormatError, match="^vertex-range: edge \\(0, 1\\) is out of range$"):
+            WeightedGraph(True, [(0, 1, 1)])
+
 
 class TestWeightSharing:
     def test_equal_tokens_share_one_object(self):

@@ -11,6 +11,7 @@ import pytest
 from helpers import (
     cycle_graph,
     dense_solve,
+    disjoint_union,
     path_graph,
     random_bipartite_graph,
     random_graph,
@@ -27,7 +28,10 @@ from covergame import (
     double_graph,
     dual_packing_lp,
     fractional_cover_lp,
+    fractional_support_cycles,
+    half_integral_cover,
     is_feasible_cover,
+    is_half_integral,
     shortest_odd_cycle,
     solve,
 )
@@ -292,6 +296,23 @@ class TestDualCertificate:
             assert is_feasible_cover(g, x)
             assert cover_weight(g, x) == sol.objective_value
 
+    def test_packing_duals_are_a_canonical_optimal_half_integral_cover(self):
+        # The structure the paper's LP-duality argument rests on, read from
+        # the packing LP alone: no doubling, fold or rounding is involved.
+        kinds, halves = Counter(), 0
+        for kind, g in packing_dual_corpus():
+            sol = solve(dual_packing_lp(g))
+            x = dict(zip(g.edges, sol.duals))
+            assert is_feasible_cover(g, x) and is_half_integral(x)
+            assert cover_weight(g, x) == sol.objective_value
+            assert sol.objective_value == half_integral_cover(g, include_dual_witness=False).weight
+            fractional_support_cycles(g, x)  # raises unless the 1/2s lie on disjoint odd cycles
+            if kind == "bipartite":
+                assert set(x.values()) <= {0, 1}
+            kinds[kind] += 1
+            halves += F(1, 2) in x.values()
+        assert sum(kinds.values()) >= 500 and kinds["bipartite"] >= 100 and halves >= 50
+
     @pytest.mark.parametrize(
         "lp, values, duals, objective, message",
         [
@@ -370,6 +391,24 @@ def graph_lps(rng, count):
         yield "packing", dual_packing_lp(g)
         if shortest_odd_cycle(g).length is not None:
             yield "doubled-cover", fractional_cover_lp(double_graph(g).graph)
+
+
+def packing_dual_corpus():
+    """Seeded (kind, graph) pairs: random graphs of the three weight
+    families, bipartite ones, and unit-weight odd cycles planted alone, in
+    disjoint unions, or beside a random graph, because random weights
+    rarely leave a 1/2 in an optimal cover."""
+    rng = random.Random(59)
+    for k in range(210):
+        yield "random", random_graph(rng, max_vertices=10, max_extra_edges=5, **WEIGHT_FAMILIES[k % 3])
+    for k in range(150):
+        yield "bipartite", random_bipartite_graph(rng, max_extra_edges=5, **WEIGHT_FAMILIES[k % 3])
+    for k in range(150):
+        parts = [cycle_graph(rng.choice((3, 5, 7, 9))) for _ in range(rng.randint(1, 3))]
+        if k % 2:
+            parts.append(random_graph(rng, max_vertices=8, **WEIGHT_FAMILIES[k % 3]))
+        rng.shuffle(parts)
+        yield "planted", disjoint_union(*parts)
 
 
 def random_lp(rng):
