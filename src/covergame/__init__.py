@@ -12,18 +12,17 @@ the LP module when it is first read, so a program that never touches the
 solver or the oracles never pays for importing them.
 
 The result records (``CoverCertificate``, ``GapReport``, ``OddCycleReport``,
-``DoubledGraph``, ``LpSolution``, ``OracleBudget``, ``Constraint`` and
-``LinearProgram``) are NamedTuples: they unpack, index and compare equal to
-a plain tuple of their fields, and ``record._replace(field=value)`` builds a
-changed copy, still checked for the two whose constructors check their
-fields. ``AllocationReport`` alone is a frozen dataclass, changed with
+``LpSolution``, ``OracleBudget``, ``Constraint`` and ``LinearProgram``) are
+NamedTuples: they unpack, index and compare equal to a plain tuple of their
+fields, and ``record._replace(field=value)`` builds a changed copy, still
+checked for the two whose constructors check their fields. ``AllocationReport`` alone is a frozen dataclass, changed with
 ``dataclasses.replace``; its module, ``allocation``, is the only one that
 imports ``dataclasses``.
 """
 
 from importlib import import_module
 
-__version__ = "0.5.1"
+__version__ = "0.6.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
@@ -36,7 +35,7 @@ _EXPORTS = {
         "game": """Allocation GapReport allocate_alpha_core check_core_dual check_core_stars
             coalition_cost exact_best_ratio integrality_gap parse_allocation
             verify_scaled_cover_membership""",
-        "graphs": """CapExceededError DoubledGraph Edge GraphFormatError OddCycleReport
+        "graphs": """CapExceededError Edge GraphFormatError OddCycleReport
             WeightedGraph coalition double_graph edge_key load_graph parse_graph
             shortest_odd_cycle""",
         "lp": "Constraint LinearProgram LpSolution dual_packing_lp fractional_cover_lp solve",

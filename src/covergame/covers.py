@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .graphs import CapExceededError, Edge, WeightedGraph, coalition
-from .graphs import double_graph, edge_key
+from .graphs import double_graph, edge_key, _doubled_pair
 from .graphs import _bfs_distances, _conflict_vertex, _lex_shortest_path  # the shared traversal
 from .rationals import HALF, ONE, ZERO, _fraction
 
@@ -196,8 +196,7 @@ def half_integral_cover(
     if _conflict_vertex(g) is None:  # bipartite
         solved, copies, scale = g, lambda e: (e,), 1
     else:
-        doubled = double_graph(g)
-        solved, copies, scale = doubled.graph, doubled.doubled_pair, 2
+        solved, copies, scale = double_graph(g), lambda e: _doubled_pair(e, g.vertex_count), 2
     primal = _optimum(fractional_cover_lp(solved))
     chosen: EdgeVector = {}
     for e, x in zip(solved.edges, primal.values):

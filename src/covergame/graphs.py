@@ -29,13 +29,12 @@ from collections import deque
 from fractions import Fraction
 from operator import index
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, NamedTuple
 
 from .rationals import HALF, ONE, ZERO, _echo, _fraction, _parse_integer, _significant_lines
 from .rationals import parse_rational
 
 Edge = tuple[int, int]
-_T = TypeVar("_T")
 
 
 class GraphFormatError(ValueError):
@@ -225,8 +224,8 @@ def coalition(g: WeightedGraph, members: Iterable[int]) -> frozenset[int]:
 
 
 def _bfs_distances(
-    neighbors: Callable[[_T], Iterable[_T]], source: _T, limit: float = math.inf
-) -> dict[_T, int]:
+    neighbors: Callable[[int], Iterable[int]], source: int, limit: float = math.inf
+) -> dict[int, int]:
     """Breadth-first distances from source that are below limit; the keys,
     in visiting order, are the vertices within that distance. Only vertices
     whose neighbors lie below the limit are expanded."""
@@ -243,7 +242,7 @@ def _bfs_distances(
     return dist
 
 
-def _lex_shortest_path(neighbors: Callable[[_T], Iterable[_T]], a: _T, b: _T) -> list[_T]:
+def _lex_shortest_path(neighbors: Callable[[int], Iterable[int]], a: int, b: int) -> list[int]:
     """The lexicographically smallest shortest path from a to b over a
     symmetric neighbor function: each step takes the smallest neighbor one
     step closer to b. Such a neighbor is also one step farther from a, so
@@ -257,16 +256,16 @@ def _lex_shortest_path(neighbors: Callable[[_T], Iterable[_T]], a: _T, b: _T) ->
 
 def _odd_walk_through(g: WeightedGraph, s: int) -> tuple[int, ...]:
     """The lexicographically smallest shortest odd closed walk through s, a
-    vertex of a non-bipartite component: the path from (s, 0) to (s, 1) in
-    the parity double cover, whose state (v, p) is v reached by a walk of
-    parity p. Candidates at one step share p, so the smallest state path is
-    the smallest vertex sequence."""
+    vertex of a non-bipartite component: the path from s to s + n in the
+    bipartite double of ``double_graph``, walked without building it and
+    read modulo n. The neighbors of one vertex all lie in one copy, so the
+    smallest of them is also the smallest source vertex."""
+    n = g.vertex_count
 
-    def parity_neighbors(state: tuple[int, int]) -> Iterator[tuple[int, int]]:
-        v, p = state
-        return ((u, 1 - p) for u in g.neighbors(v))
+    def doubled_neighbors(v: int) -> Iterable[int]:
+        return [u + n for u in g.neighbors(v)] if v < n else g.neighbors(v - n)
 
-    return tuple(v for v, _ in _lex_shortest_path(parity_neighbors, (s, 0), (s, 1)))
+    return tuple(v % n for v in _lex_shortest_path(doubled_neighbors, s, s + n))
 
 
 def _level_conflict(g: WeightedGraph, dist: dict[int, int]) -> int | None:
@@ -348,29 +347,19 @@ def shortest_odd_cycle(g: WeightedGraph) -> OddCycleReport:
     return OddCycleReport(best_len, _odd_walk_through(g, best_start))
 
 
-class DoubledGraph(NamedTuple):
-    """Bipartite double of a graph, with its edge correspondence.
-
-    Vertex v of the source appears as v (first copy) and v + n (second
-    copy); each source edge uv becomes the pair u-(v+n) and v-(u+n), both
-    carrying the source weight.
-    """
-
-    graph: WeightedGraph
-    source_vertex_count: int
-
-    def doubled_pair(self, e: Edge) -> tuple[Edge, Edge]:
-        u, v = e
-        n = self.source_vertex_count
-        return (edge_key(u, v + n), edge_key(v, u + n))
+def _doubled_pair(e: Edge, n: int) -> tuple[Edge, Edge]:
+    """The two copies of source edge uv in the bipartite double on 2n
+    vertices: u-(v+n) and v-(u+n)."""
+    u, v = e
+    return edge_key(u, v + n), edge_key(v, u + n)
 
 
-def double_graph(g: WeightedGraph) -> DoubledGraph:
-    """Build the bipartite double cover with both copies of every edge."""
+def double_graph(g: WeightedGraph) -> WeightedGraph:
+    """The bipartite double: vertex v appears as v and v + n, and each edge
+    uv as both copies of ``_doubled_pair``, carrying its weight."""
     n = g.vertex_count
     weighted_edges: list[tuple[int, int, Fraction]] = []
-    for u, v in g.edges:
-        w = g.weight(u, v)
-        for e in (edge_key(u, v + n), edge_key(v, u + n)):
-            weighted_edges.append((e[0], e[1], w))
-    return DoubledGraph(WeightedGraph(2 * n, weighted_edges), n)
+    for e in g.edges:
+        w = g.weight(*e)
+        weighted_edges += [(a, b, w) for a, b in _doubled_pair(e, n)]
+    return WeightedGraph(2 * n, weighted_edges)

@@ -94,10 +94,10 @@ def format_rational(value: Fraction) -> str:
     A part longer than the int-to-str limit is rendered exactly through
     ``decimal``, which has no such limit.
     """
-    p, q = value.numerator, value.denominator
     try:
-        return str(p) if q == 1 else f"{p}/{q}"
+        return str(value)
     except ValueError:
         from decimal import Decimal
 
+        p, q = value.numerator, value.denominator
         return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"

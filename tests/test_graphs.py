@@ -309,7 +309,7 @@ class TestLazyAdjacency:
         g = cycle_graph(5)
         half_integral_cover(g)
         assert len(doubles) == 1
-        assert not adjacency_built(doubles[0].graph)
+        assert not adjacency_built(doubles[0])
         assert adjacency_built(g)  # the bipartiteness test traverses g itself
 
     def test_first_read_builds_it_once(self):
@@ -661,11 +661,35 @@ class TestShortestOddCycle:
         for g in graphs:
             assert shortest_odd_cycle(g) == double_cover_odd_cycle(g), g
 
+    def test_odd_walk_is_the_path_to_the_copy_in_double_graph(self):
+        # The witness walk runs on the double without building it; from
+        # every start of a non-bipartite component it is the lexicographic
+        # shortest path from s to s + n in ``double_graph(g)``, modulo n.
+        rng = random.Random(61)
+        corpus = [random_graph(rng, max_vertices=12, max_extra_edges=5) for _ in range(60)]
+        corpus += [random_nonbipartite_graph(rng, max_vertices=12, max_extra_edges=6)
+                   for _ in range(40)]
+        corpus += [disjoint_union(random_bipartite_graph(rng, max_vertices=8),
+                                  random_nonbipartite_graph(rng, max_vertices=8))
+                   for _ in range(40)]
+        corpus += [disjoint_union(cycle_graph(4), cycle_graph(5), triangle()), cycle_graph(11),
+                   WeightedGraph(27, grid_edges(4, 5) + cycle_edges(7, first=20))]
+        starts = 0
+        for g in corpus:
+            n = g.vertex_count
+            doubled = double_graph(g)
+            for s in g.vertices():
+                if parity_distances(g, s)[s][1] == -1:
+                    continue  # s lies in a bipartite component
+                path = graphs._lex_shortest_path(doubled.neighbors, s, s + n)
+                assert graphs._odd_walk_through(g, s) == tuple(v % n for v in path), (g, s)
+                starts += 1
+        assert starts >= 800, starts
+
 
 class TestDoubleGraph:
     def test_triangle_becomes_six_cycle(self):
-        doubled = double_graph(triangle())
-        g = doubled.graph
+        g = double_graph(triangle())
         assert g.vertex_count == 6
         assert set(g.edges) == {(0, 4), (1, 3), (0, 5), (2, 3), (1, 5), (2, 4)}
         assert all(g.weight(*e) == 1 for e in g.edges)
@@ -674,8 +698,8 @@ class TestDoubleGraph:
 
     def test_single_edge_becomes_two_disjoint_edges(self):
         doubled = double_graph(path_graph([Fraction(5, 2)]))
-        assert set(doubled.graph.edges) == {(0, 3), (1, 2)}
-        assert all(doubled.graph.weight(*e) == Fraction(5, 2) for e in doubled.graph.edges)
+        assert set(doubled.edges) == {(0, 3), (1, 2)}
+        assert all(doubled.weight(*e) == Fraction(5, 2) for e in doubled.edges)
 
     def test_double_properties_random(self):
         rng = random.Random(17)
@@ -683,12 +707,11 @@ class TestDoubleGraph:
             g = random_graph(rng)
             doubled = double_graph(g)
             n = g.vertex_count
-            assert doubled.graph.vertex_count == 2 * n
-            assert doubled.graph.edge_count == 2 * g.edge_count
+            assert doubled.vertex_count == 2 * n
+            assert doubled.edge_count == 2 * g.edge_count
             # every doubled edge crosses the two copies
-            assert all((u < n) != (v < n) for u, v in doubled.graph.edges)
-            for e in g.edges:
-                e1, e2 = doubled.doubled_pair(e)
-                assert doubled.graph.weight(*e1) == g.weight(*e)
-                assert doubled.graph.weight(*e2) == g.weight(*e)
+            assert all((u < n) != (v < n) for u, v in doubled.edges)
+            for u, v in g.edges:
+                assert doubled.weight(u, v + n) == g.weight(u, v)
+                assert doubled.weight(v, u + n) == g.weight(u, v)
             assert edge_key(3, 1) == (1, 3)

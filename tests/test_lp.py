@@ -390,7 +390,7 @@ def graph_lps(rng, count):
         yield "cover", fractional_cover_lp(g)
         yield "packing", dual_packing_lp(g)
         if shortest_odd_cycle(g).length is not None:
-            yield "doubled-cover", fractional_cover_lp(double_graph(g).graph)
+            yield "doubled-cover", fractional_cover_lp(double_graph(g))
 
 
 def packing_dual_corpus():

@@ -82,7 +82,7 @@ def test_allocation_module_holds_only_its_record():
 def test_all_is_the_sorted_export_table():
     assert covergame.__all__ == sorted(covergame.__all__)
     assert covergame.__all__ == sorted(covergame._EXPORTS)
-    assert len(covergame.__all__) == 44
+    assert len(covergame.__all__) == 43
 
 
 def test_each_name_is_its_submodule_attribute():
@@ -119,3 +119,13 @@ def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None
     assert covergame.__version__ == match.group(1)
+
+
+def test_readme_quickstart_prints_its_comment(capsys):
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    block = re.search(r"^```python\n(.*?)^```$", quickstart, re.MULTILINE | re.DOTALL).group(1)
+    expected = block.rstrip("\n").rsplit("\n", 1)[1]
+    assert expected == "# 3/4 3/2 2 3/4"
+    exec(block, {})
+    assert capsys.readouterr().out == expected.removeprefix("# ") + "\n"
