@@ -22,7 +22,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.6.0"
+__version__ = "0.6.1"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

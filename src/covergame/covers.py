@@ -37,6 +37,7 @@ EXACT_CANDIDATE_CAP = 24
 
 EdgeVector = dict[Edge, Fraction]
 _Cycles = tuple[tuple[int, ...], ...]  # closed vertex walks
+_Found = tuple[Fraction, tuple[Edge, ...]]  # a cover's weight and edges
 
 
 def __getattr__(name: str):
@@ -98,17 +99,17 @@ def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> Edge
 def min_edge_cover_exact(
     g: WeightedGraph, members: Iterable[int] | None = None
 ) -> CoverCertificate:
-    """Exact minimum-weight cover of a coalition by branch and bound.
+    """Exact minimum-weight cover of a coalition by branch and bound: the
+    first optimum in search order, which covers the lowest uncovered vertex
+    first, by its candidate edges cheapest first, ties by edge key.
 
     Candidates are the edges inside the coalition plus its boundary; any
-    other edge only adds weight. Branching always targets the lowest
-    uncovered vertex and tries its covering edges cheapest-first, pruning
-    with the admissible bound sum(cheapest incident weight)/2 (each edge
-    covers at most two uncovered vertices). First-found optima are kept,
-    so the result is deterministic. More than ``EXACT_CANDIDATE_CAP``
-    candidates raise CapExceededError. The search recurses once per chosen
-    edge, and no edge is chosen twice on one branch, so it is at most that
-    cap deep, far below the interpreter's recursion limit.
+    other edge only adds weight. A node is pruned once the bound
+    sum(cheapest incident weight)/2 (each edge covers at most two
+    uncovered vertices) reaches its budget, the weight left under the best
+    cover so far. More than ``EXACT_CANDIDATE_CAP`` candidates raise
+    CapExceededError. The search goes one level deeper per chosen edge, so
+    at most that cap deep, far below the interpreter's recursion limit.
     """
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
@@ -123,31 +124,25 @@ def min_edge_cover_exact(
     }
     cheapest = {v: g.weight(*edges[0]) for v, edges in options.items()}
 
-    best_weight: Fraction | None = None
-    best_edges: tuple[Edge, ...] | None = None
-
-    def search(uncovered: frozenset[int], chosen: list[Edge], weight: Fraction) -> None:
-        nonlocal best_weight, best_edges
+    def search(uncovered: frozenset[int], budget: Fraction | None) -> _Found | None:
+        # The first cover of ``uncovered`` in search order that weighs less
+        # than ``budget`` (None: any cover), as (weight, edges).
         if not uncovered:
-            if best_weight is None or weight < best_weight:
-                best_weight = weight
-                best_edges = tuple(chosen)
-            return
-        if best_weight is not None:
-            if weight + sum(cheapest[v] for v in uncovered) / 2 >= best_weight:
-                return
-        v = min(uncovered)
-        for e in options[v]:
-            chosen.append(e)
-            search(uncovered - set(e), chosen, weight + g.weight(*e))
-            chosen.pop()
+            return (ZERO, ()) if budget is None or budget > 0 else None
+        if budget is not None and sum(cheapest[v] for v in uncovered) / 2 >= budget:
+            return None
+        best = None
+        for e in options[min(uncovered)]:
+            w = g.weight(*e)
+            found = search(uncovered - set(e), None if budget is None else budget - w)
+            if found is not None:
+                budget = w + found[0]
+                best = budget, (e, *found[1])
+        return best
 
-    search(frozenset(s), [], ZERO)
-    assert best_weight is not None and best_edges is not None
-    values = {e: ZERO for e in g.edges}
-    for e in best_edges:
-        values[e] = ONE
-    return CoverCertificate("integral", values, best_weight)
+    weight, edges = search(frozenset(s), None)
+    values = dict.fromkeys(g.edges, ZERO) | dict.fromkeys(edges, ONE)
+    return CoverCertificate("integral", values, weight)
 
 
 def _optimum(lp: LinearProgram) -> LpSolution:

@@ -5,7 +5,10 @@ rounding and its fractional cycles each follow a tie-break policy (lowest
 start vertex, lexicographically smallest shortest path, first component
 by smallest vertex). The CLI pins guard these bytes on 40 inputs only;
 this digest covers a seeded corpus of a few hundred graphs, zero weights
-and several components included.
+and several components included. A second digest pins which optimum the
+exact cover search returns on the same corpus: the first in its search
+order, lowest uncovered vertex first, its candidates cheapest first, ties
+by edge key.
 """
 
 import hashlib
@@ -21,6 +24,7 @@ from covergame import (
     format_rational,
     fractional_support_cycles,
     half_integral_cover,
+    min_edge_cover_exact,
     shortest_odd_cycle,
 )
 
@@ -29,6 +33,8 @@ ZERO, HALF, ONE = Fraction(0), Fraction(1, 2), Fraction(1)
 # sha256 of the corpus report below; any change to it is a change of
 # library output bytes.
 GOLDEN_SHA256 = "d91afcbaefd09ed187389174a5611417f4ceb66d32d12971b04da699eb1799ab"
+# sha256 of the exact covers of the corpus, two coalitions per graph.
+EXACT_GOLDEN_SHA256 = "53fb5e4752120b3413d47c99ec9edc5304ca44d37f478c05b6a2f1af368b9b9f"
 
 
 def _disjoint_union(rng: random.Random, parts: list[WeightedGraph]) -> WeightedGraph:
@@ -118,6 +124,11 @@ def report(g: WeightedGraph) -> str:
     ))
 
 
+def exact_report(g: WeightedGraph, members=None) -> str:
+    cert = min_edge_cover_exact(g, members)
+    return repr((format_rational(cert.weight), sorted(e for e, x in cert.values.items() if x)))
+
+
 def rounding_report(g: WeightedGraph, x: dict) -> str:
     canonical = canonicalize_to_odd_cycles(g, x)
     return repr((_entries(canonical), fractional_support_cycles(g, canonical)))
@@ -130,3 +141,15 @@ def test_corpus_bytes_match_golden_digest():
     lines += [rounding_report(g, x) for g, x in rounding_corpus()]
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+def test_exact_covers_match_golden_digest():
+    # The grand coalition and one seeded proper coalition of each graph;
+    # the corpus has at most 17 edges per graph, inside the exact cap.
+    rng = random.Random(7)
+    lines = []
+    for g in corpus():
+        proper = sorted(rng.sample(range(g.vertex_count), rng.randint(1, g.vertex_count - 1)))
+        lines += [exact_report(g), exact_report(g, proper)]
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == EXACT_GOLDEN_SHA256

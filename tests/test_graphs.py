@@ -82,6 +82,10 @@ def enumerate_shortest_odd_cycle(g):
     return None
 
 
+def test_edge_key_puts_the_smaller_endpoint_first():
+    assert edge_key(3, 1) == edge_key(1, 3) == (1, 3)
+
+
 class TestParsing:
     def test_triangle(self):
         g = parse_graph(TRIANGLE_TEXT)
@@ -714,4 +718,3 @@ class TestDoubleGraph:
             for u, v in g.edges:
                 assert doubled.weight(u, v + n) == g.weight(u, v)
                 assert doubled.weight(v, u + n) == g.weight(u, v)
-            assert edge_key(3, 1) == (1, 3)

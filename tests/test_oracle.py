@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from helpers import cycle_graph, path_graph, random_graph, star_graph, triangle
+from helpers import complete_graph, cycle_graph, path_graph, random_graph, star_graph, triangle
 
 from covergame import (
     CapExceededError,
@@ -39,11 +39,28 @@ class TestBruteMinCover:
             brute_min_cover(path_graph([1] * 21), range(22))
 
     def test_agrees_with_exact_solver(self):
+        # 1,000 random (graph, coalition) pairs and the grand coalitions of
+        # K3 to K5, each with at most 12 candidate edges. Weights in
+        # {0, 1/2, 1, 3/2, 2, 3} give ties and zeros. In dense graphs the
+        # coalitions of one or two vertices have mostly boundary edges.
         rng = random.Random(83)
-        for _ in range(30):
-            g = random_graph(rng, max_vertices=6, max_extra_edges=3)
-            members = {v for v in range(g.vertex_count) if rng.random() < 0.7} or {0}
-            assert brute_min_cover(g, members) == min_edge_cover_exact(g, members).weight
+        ties = dict(min_numerator=0, max_numerator=3, max_denominator=2)
+        pairs = [(complete_graph(k), range(k)) for k in (3, 4, 5)]
+        for i in range(700):
+            g = random_graph(rng, max_vertices=7, max_extra_edges=5, **(ties if i % 2 else {}))
+            members = [v for v in g.vertices() if rng.random() < 0.7] or [0]
+            pairs.append((g, members))
+        for _ in range(300):
+            g = random_graph(rng, min_vertices=5, max_vertices=7, max_extra_edges=15, **ties)
+            pairs.append((g, rng.sample(range(g.vertex_count), rng.randint(1, 2))))
+        for g, members in pairs:
+            s = set(members)
+            assert sum(1 for u, v in g.edges if u in s or v in s) <= 12
+            cert = min_edge_cover_exact(g, members)
+            chosen = [e for e, x in cert.values.items() if x]
+            assert set(cert.values.values()) <= {0, 1}
+            assert s <= {v for e in chosen for v in e}
+            assert sum(g.weight(*e) for e in chosen) == cert.weight == brute_min_cover(g, members)
 
 
 class TestBruteFractionalOptimum:
