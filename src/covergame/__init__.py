@@ -8,8 +8,9 @@ allocations from the dual packing program, and naive brute-force oracles
 that certify all of it at desk scale.
 
 The public names below load on first use: ``covergame.solve`` imports
-the LP module when it is first read, so a program that never touches the
-solver or the oracles never pays for importing them.
+the LP module when it is first read, so a program that computes no cover
+and solves no LP never imports it, and one that calls no oracle never
+imports the oracles.
 
 The result records (``CoverCertificate``, ``GapReport``, ``OddCycleReport``,
 ``LpSolution``, ``OracleBudget``, ``Constraint`` and ``LinearProgram``) are
@@ -22,7 +23,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.6.1"
+__version__ = "0.6.2"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

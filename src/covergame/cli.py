@@ -11,8 +11,8 @@ byte-identical output.
 
 Each handler imports the layer it runs when it runs, so a process loads
 only the modules its subcommand needs: gap and verify load no cover or LP
-code, and only allocate loads ``dataclasses``. ``json`` loads only for
---format json.
+code, cover and cost load ``covers`` and with it ``lp``, and only allocate
+loads ``dataclasses``. ``json`` loads only for --format json.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),

@@ -5,7 +5,9 @@ exact integral search by branch and bound over at most
 (of the graph when it is bipartite, else of its bipartite double), the
 optimal packing LP behind every fractional optimum, and the rounding that
 leaves only vertex-disjoint odd cycles fractional. Both LPs go through one
-checked solve, ``_optimum``, which accepts only an optimum.
+checked solve, ``_optimum``, which accepts only an optimum. The LP names
+are imported from ``lp`` at the top, so loading this module loads the LP
+layer.
 
 The rounding has one rule for choosing a walk in the 1/2-valued support,
 in which a simple cycle is a flower of one petal, and each pass shifts
@@ -17,15 +19,13 @@ last pass finds no walk and gives ``frac-cover --canonical`` the cycles."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .graphs import CapExceededError, Edge, WeightedGraph, coalition
 from .graphs import double_graph, edge_key, _doubled_pair
 from .graphs import _bfs_distances, _conflict_vertex, _lex_shortest_path  # the shared traversal
+from .lp import LinearProgram, LpSolution, dual_packing_lp, fractional_cover_lp, solve
 from .rationals import HALF, ONE, ZERO, _fraction
-
-if TYPE_CHECKING:  # the LP module loads only when a cover is solved
-    from .lp import LinearProgram, LpSolution
 
 # Every half-integral entry this module builds is one of the three shared
 # constants, so a vector holds no Fraction of its own per edge.
@@ -38,16 +38,6 @@ EXACT_CANDIDATE_CAP = 24
 EdgeVector = dict[Edge, Fraction]
 _Cycles = tuple[tuple[int, ...], ...]  # closed vertex walks
 _Found = tuple[Fraction, tuple[Edge, ...]]  # a cover's weight and edges
-
-
-def __getattr__(name: str):
-    # The LP module loads only when a cover is solved: the functions that
-    # solve import it. Its names stay readable as attributes of this module.
-    if name in ("dual_packing_lp", "fractional_cover_lp", "solve"):
-        from . import lp
-
-        return getattr(lp, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CoverCertificate(NamedTuple):
@@ -107,9 +97,12 @@ def min_edge_cover_exact(
     other edge only adds weight. A node is pruned once the bound
     sum(cheapest incident weight)/2 (each edge covers at most two
     uncovered vertices) reaches its budget, the weight left under the best
-    cover so far. More than ``EXACT_CANDIDATE_CAP`` candidates raise
-    CapExceededError. The search goes one level deeper per chosen edge, so
-    at most that cap deep, far below the interpreter's recursion limit.
+    cover so far. The first budget, the total candidate weight plus one,
+    prunes nothing; it is a Fraction because math.inf minus a weight goes
+    through float, which overflows past 1.8e308. More than
+    ``EXACT_CANDIDATE_CAP`` candidates raise CapExceededError. The search
+    goes one level deeper per chosen edge, so at most that cap deep, far
+    below the interpreter's recursion limit.
     """
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
@@ -118,29 +111,25 @@ def min_edge_cover_exact(
             f"{len(candidates)} candidate edges exceed the exact-solver cap of {EXACT_CANDIDATE_CAP}"
         )
 
-    options = {
-        v: sorted((e for e in candidates if v in e), key=lambda e: (g.weight(*e), e))
-        for v in sorted(s)
-    }
-    cheapest = {v: g.weight(*edges[0]) for v, edges in options.items()}
+    options = {v: sorted((g.weight(*e), e) for e in candidates if v in e) for v in s}
+    cheapest = {v: pairs[0][0] for v, pairs in options.items()}
 
-    def search(uncovered: frozenset[int], budget: Fraction | None) -> _Found | None:
+    def search(uncovered: frozenset[int], budget: Fraction) -> _Found | None:
         # The first cover of ``uncovered`` in search order that weighs less
-        # than ``budget`` (None: any cover), as (weight, edges).
+        # than ``budget``, as (weight, edges).
         if not uncovered:
-            return (ZERO, ()) if budget is None or budget > 0 else None
-        if budget is not None and sum(cheapest[v] for v in uncovered) / 2 >= budget:
+            return (ZERO, ()) if budget > 0 else None
+        if sum(cheapest[v] for v in uncovered) / 2 >= budget:
             return None
         best = None
-        for e in options[min(uncovered)]:
-            w = g.weight(*e)
-            found = search(uncovered - set(e), None if budget is None else budget - w)
+        for w, e in options[min(uncovered)]:
+            found = search(uncovered - set(e), budget - w)
             if found is not None:
                 budget = w + found[0]
                 best = budget, (e, *found[1])
         return best
 
-    weight, edges = search(frozenset(s), None)
+    weight, edges = search(frozenset(s), sum(g.weight(*e) for e in candidates) + 1)
     values = dict.fromkeys(g.edges, ZERO) | dict.fromkeys(edges, ONE)
     return CoverCertificate("integral", values, weight)
 
@@ -148,8 +137,6 @@ def min_edge_cover_exact(
 def _optimum(lp: LinearProgram) -> LpSolution:
     """The certified optimum of an LP that must have one: ``solve``, and a
     RuntimeError for any other status."""
-    from .lp import solve
-
     solution = solve(lp)
     if solution.status != "optimal":
         kind = "covering" if lp.sense == "min" else "packing"
@@ -162,8 +149,6 @@ def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
     the fractional covering optimum: ``solve`` certifies y by its dual, a
     fractional cover of equal weight. Entries equal to 0, 1/2 or 1 are the
     shared constants."""
-    from .lp import dual_packing_lp
-
     packing = _optimum(dual_packing_lp(g))
     return tuple(map(_shared, packing.values)), packing.objective_value
 
@@ -186,8 +171,6 @@ def half_integral_cover(
     ``ZERO``, ``HALF`` and ``ONE``, and so is every value that
     ``canonicalize_to_odd_cycles`` rounds.
     """
-    from .lp import fractional_cover_lp
-
     if _conflict_vertex(g) is None:  # bipartite
         solved, copies, scale = g, lambda e: (e,), 1
     else:

@@ -3,7 +3,7 @@ arithmetic, the per-instance integrality gap (the one place that computes
 rho = 1 + 1/ell), the dual-based allocation with its ell/(ell+1) and
 bipartite bounds, and odd-set membership verification. The functions that
 compute a cover import ``covers`` when they run, so the checkers and the
-gap load no cover code, and only ``allocate_alpha_core`` loads
+gap load no cover or LP code, and only ``allocate_alpha_core`` loads
 ``allocation`` and its dataclass.
 
 Players are vertices; a coalition pays the cheapest edge set covering its

@@ -17,9 +17,9 @@ returned with its dual and certified by exact equality (there is no
 epsilon anywhere in this module): both are feasible and their objectives
 are equal, which proves both optimal.
 The covering LP of a graph and its dual packing LP are built from one
-incidence matrix: one constraint per row, and one per column. The package
-imports this module only to build or solve an LP, or when one of its names
-is read.
+incidence matrix: one constraint per row, and one per column. ``covers``
+imports this module at its top, so every process that computes a cover
+loads it; ``gap`` and ``verify`` load neither.
 """
 
 from __future__ import annotations

@@ -6,15 +6,17 @@ floating point can leak into the pipeline. ``_all_digits`` is the one
 digit rule, for each integer part of a token: a non-empty run of ASCII
 digits, so no "+", "_", whitespace or other digits; an integer token may
 start with one "-". Each part is read by ``int``, so it may have at most
-the interpreter's int-to-str limit of digits (4300 by default). Graph
-and allocation files share one reader of their numbered lines. The module
-also holds the three constants that the other modules share, ``ZERO``,
-``HALF`` and ``ONE``, and the one conversion of an input number to
-Fraction, which takes ints and Fractions only.
+the interpreter's int-to-str limit of digits (4300 by default), and a
+result past that limit renders through ``decimal``, which ``fractions``
+already imports. Graph and allocation files share one reader of their
+numbered lines. The module also holds the three constants that the other
+modules share, ``ZERO``, ``HALF`` and ``ONE``, and the one conversion of
+an input number to Fraction, which takes ints and Fractions only.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational
 
@@ -97,7 +99,5 @@ def format_rational(value: Fraction) -> str:
     try:
         return str(value)
     except ValueError:
-        from decimal import Decimal
-
         p, q = value.numerator, value.denominator
         return str(Decimal(p)) if q == 1 else f"{Decimal(p)}/{Decimal(q)}"

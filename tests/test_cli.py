@@ -14,7 +14,7 @@ import pytest
 from helpers import complete_graph, unchoosing_solve
 
 import covergame
-from covergame import CoverCertificate, LpSolution, lp
+from covergame import CoverCertificate, LpSolution, covers, lp
 from covergame.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -24,6 +24,15 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def solved_senses(monkeypatch) -> list[str]:
+    """The sense of every LP that ``covers`` solves from now on, in order."""
+    real, senses = covers.solve, []
+    monkeypatch.setattr(
+        covers, "solve", lambda program, trace=None: senses.append(program.sense) or real(program, trace)
+    )
+    return senses
 
 
 @pytest.fixture
@@ -91,10 +100,7 @@ class TestFracCover:
         # half_integral_cover solves the covering LP and the packing LP of
         # its dual witness; the rounding takes the optimum from that
         # certificate instead of solving the packing LP a third time.
-        real, senses = lp.solve, []
-        monkeypatch.setattr(
-            lp, "solve", lambda program, trace=None: senses.append(program.sense) or real(program, trace)
-        )
+        senses = solved_senses(monkeypatch)
         assert run(capsys, "frac-cover", DATA / graph, "--canonical") == (0, expected, "")
         assert senses == ["min", "max"]
 
@@ -109,6 +115,23 @@ class TestFracCover:
         code, out, err = run(capsys, "frac-cover", DATA / "triangle.g", "--canonical")
         assert (code, out) == (4, "")
         assert err == "error: internal: vector is not an optimal fractional cover\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("allocate", "triangle.g"), ["max"]),
+        (("cost", "triangle.g", "--coalition", "0,1"), []),
+        (("cover", "triangle.g"), []),
+    ],
+    ids=["allocate", "cost", "cover"],
+)
+def test_lps_each_subcommand_solves(capsys, monkeypatch, argv, expected):
+    # allocate solves the packing LP of its allocation once; its grand cost
+    # and every cost and cover are integral and solve no LP.
+    senses = solved_senses(monkeypatch)
+    assert run(capsys, argv[0], DATA / argv[1], *argv[2:])[0] == 0
+    assert senses == expected
 
 
 class TestGap:
@@ -411,7 +434,7 @@ class TestErrorsAndDeterminism:
         assert err == "error: internal: solver objective does not match the returned primal and dual\n"
 
     def test_bipartite_cover_corrupted_after_solving_exits_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(lp, "solve", unchoosing_solve(lp.solve))
+        monkeypatch.setattr(covers, "solve", unchoosing_solve(covers.solve))
         code, out, err = run(capsys, "frac-cover", DATA / "c4.g")
         assert (code, out) == (4, "")
         assert err == "error: internal: folded cover weight disagrees with the covering LP optimum\n"
@@ -422,7 +445,7 @@ class TestErrorsAndDeterminism:
     def test_lp_without_optimum_exits_4(self, capsys, monkeypatch, argv):
         # c4 is bipartite and solved directly, the triangle through its
         # double; allocate solves the packing LP.
-        monkeypatch.setattr(lp, "solve", lambda program, trace=None: LpSolution("infeasible", None, None))
+        monkeypatch.setattr(covers, "solve", lambda program, trace=None: LpSolution("infeasible", None, None))
         code, out, err = run(capsys, argv[0], DATA / argv[1])
         assert (code, out) == (4, "")
         assert err.startswith("error: internal: ") and err.count("\n") == 1

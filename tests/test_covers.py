@@ -38,7 +38,7 @@ from covergame import (
     shortest_odd_cycle,
     solve,
 )
-from covergame import covers, lp
+from covergame import covers
 
 F = Fraction
 HALF = F(1, 2)
@@ -108,6 +108,14 @@ class TestExactCover:
         g = WeightedGraph(3, [(0, 1, F(0)), (1, 2, F(0)), (0, 2, F(5))])
         assert min_edge_cover_exact(g).weight == 0
 
+    def test_weights_beyond_float_range(self):
+        # The search budget stays a Fraction: a float one would overflow on
+        # the first weight past 1.8e308.
+        huge = F(10**400, 3)
+        cert = min_edge_cover_exact(path_graph([huge, 1, huge]))
+        assert cert.weight == 2 * huge
+        assert cert.values[(1, 2)] == 0
+
 
 class TestBipartiteCover:
     """Bipartite graphs: half_integral_cover returns the integral optimum."""
@@ -142,7 +150,7 @@ class TestBipartiteCover:
     def test_solution_corrupted_after_solving_is_caught(self, monkeypatch, include_dual_witness):
         # The bipartite branch checks the weight and feasibility of what
         # the LP returned, as the doubled branch does.
-        monkeypatch.setattr(lp, "solve", unchoosing_solve(lp.solve))
+        monkeypatch.setattr(covers, "solve", unchoosing_solve(covers.solve))
         with pytest.raises(RuntimeError, match="weight disagrees"):
             half_integral_cover(cycle_graph(4), include_dual_witness=include_dual_witness)
 

@@ -60,8 +60,7 @@ def test_cli_loads_no_solver_oracle_or_json():
     assert all(code == 0 and imported == [] for code, imported, _ in runs.values())
     added = {command: run[2] for command, run in runs.items()}
     assert added["gap"] == added["verify"] == []
-    assert added["cost"] == added["cover"] == ["covergame.covers"]
-    assert added["frac-cover"] == ["covergame.covers", "covergame.lp"]
+    assert added["cost"] == added["cover"] == added["frac-cover"] == ["covergame.covers", "covergame.lp"]
     # AllocationReport stays a dataclass, because callers change it with
     # dataclasses.replace, so allocate alone loads dataclasses (and inspect,
     # which dataclasses imports).
@@ -89,6 +88,25 @@ def test_each_name_is_its_submodule_attribute():
     for name, module in covergame._EXPORTS.items():
         submodule = importlib.import_module(f"covergame.{module}")
         assert getattr(covergame, name) is getattr(submodule, name), name
+
+
+def test_imports_are_deferred_only_at_the_start_up_boundaries():
+    # Only the package namespace resolves names through a module
+    # __getattr__, and only the CLI handlers and game's cover-computing
+    # functions import inside a function, which keeps gap and verify
+    # processes free of cover and LP code.
+    hooks, deferred = set(), set()
+    for path in Path(covergame.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__" for node in tree.body):
+            hooks.add(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node)
+            ):
+                deferred.add(path.name)
+    assert hooks <= {"__init__.py"}
+    assert deferred <= {"cli.py", "game.py"}
 
 
 def test_covers_still_exposes_the_lp_names():
