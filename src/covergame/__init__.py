@@ -23,7 +23,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.6.2"
+__version__ = "0.6.3"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

@@ -1,13 +1,13 @@
 """Minimum-weight edge covers, as plain values that only ``cli`` renders:
 exact integral search by branch and bound over at most
 ``EXACT_CANDIDATE_CAP`` = 24 candidate edges (a fixed cap; ``cover`` and
-``cost`` exit 2 past it), half-integral covers folded from one covering LP
-(of the graph when it is bipartite, else of its bipartite double), the
-optimal packing LP behind every fractional optimum, and the rounding that
-leaves only vertex-disjoint odd cycles fractional. Both LPs go through one
-checked solve, ``_optimum``, which accepts only an optimum. The LP names
-are imported from ``lp`` at the top, so loading this module loads the LP
-layer.
+``cost`` exit 2 past it), each node pruned by one test of a lower bound
+carried down from its parent; half-integral covers folded from one
+covering LP (of the graph when bipartite, else of its bipartite double);
+the optimal packing LP behind every fractional optimum; and the rounding
+that leaves only vertex-disjoint odd cycles fractional. Both LPs go
+through one checked solve, ``_optimum``, which accepts only an optimum,
+and the LP names are imported at the top, so this module loads ``lp``.
 
 The rounding has one rule for choosing a walk in the 1/2-valued support,
 in which a simple cycle is a flower of one petal, and each pass shifts
@@ -94,15 +94,15 @@ def min_edge_cover_exact(
     first, by its candidate edges cheapest first, ties by edge key.
 
     Candidates are the edges inside the coalition plus its boundary; any
-    other edge only adds weight. A node is pruned once the bound
-    sum(cheapest incident weight)/2 (each edge covers at most two
-    uncovered vertices) reaches its budget, the weight left under the best
-    cover so far. The first budget, the total candidate weight plus one,
-    prunes nothing; it is a Fraction because math.inf minus a weight goes
-    through float, which overflows past 1.8e308. More than
-    ``EXACT_CANDIDATE_CAP`` candidates raise CapExceededError. The search
-    goes one level deeper per chosen edge, so at most that cap deep, far
-    below the interpreter's recursion limit.
+    other edge only adds weight. Each node has one prune test: its bound,
+    half the cheapest candidate weight of each uncovered vertex summed (an
+    edge covers at most two), against its budget, the weight left under
+    the best cover so far. The bound is carried down, less the halves of
+    what each chosen edge covers, so a leaf's is 0. The first budget, the
+    total candidate weight plus one, prunes nothing; it is a Fraction, as
+    math.inf minus a weight goes through float and overflows past 1.8e308.
+    More than ``EXACT_CANDIDATE_CAP`` candidates raise CapExceededError;
+    the recursion is one level per chosen edge, so at most that cap deep.
     """
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
@@ -112,24 +112,25 @@ def min_edge_cover_exact(
         )
 
     options = {v: sorted((g.weight(*e), e) for e in candidates if v in e) for v in s}
-    cheapest = {v: pairs[0][0] for v, pairs in options.items()}
+    half = {v: pairs[0][0] / 2 for v, pairs in options.items()}
 
-    def search(uncovered: frozenset[int], budget: Fraction) -> _Found | None:
+    def search(uncovered: frozenset[int], budget: Fraction, bound: Fraction) -> _Found | None:
         # The first cover of ``uncovered`` in search order that weighs less
-        # than ``budget``, as (weight, edges).
-        if not uncovered:
-            return (ZERO, ()) if budget > 0 else None
-        if sum(cheapest[v] for v in uncovered) / 2 >= budget:
+        # than ``budget``, as (weight, edges); ``bound`` sums ``half`` on it.
+        if bound >= budget:
             return None
+        if not uncovered:
+            return ZERO, ()
         best = None
         for w, e in options[min(uncovered)]:
-            found = search(uncovered - set(e), budget - w)
+            covered = uncovered.intersection(e)
+            found = search(uncovered - covered, budget - w, bound - sum(half[v] for v in covered))
             if found is not None:
                 budget = w + found[0]
                 best = budget, (e, *found[1])
         return best
 
-    weight, edges = search(frozenset(s), sum(g.weight(*e) for e in candidates) + 1)
+    weight, edges = search(s, sum(g.weight(*e) for e in candidates) + 1, sum(half.values()))
     values = dict.fromkeys(g.edges, ZERO) | dict.fromkeys(edges, ONE)
     return CoverCertificate("integral", values, weight)
 

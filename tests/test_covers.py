@@ -3,6 +3,7 @@ canonicalization."""
 
 import itertools
 import random
+import sys
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -115,6 +116,42 @@ class TestExactCover:
         cert = min_edge_cover_exact(path_graph([huge, 1, huge]))
         assert cert.weight == 2 * huge
         assert cert.values[(1, 2)] == 0
+
+    @staticmethod
+    def search_nodes(g, members=None):
+        """Calls of the nested ``search`` in one exact cover."""
+        nodes = 0
+
+        def count(frame, event, arg):
+            nonlocal nodes
+            code = frame.f_code
+            if event == "call" and code.co_name == "search" and code.co_filename == covers.__file__:
+                nodes += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            min_edge_cover_exact(g, members)
+        finally:
+            sys.setprofile(previous)
+        return nodes
+
+    def test_search_visits_a_pinned_number_of_nodes(self):
+        # The prune test's exact node counts: a weaker bound visits more
+        # nodes, and a bound that is not a lower bound loses optima.
+        unit = {"K6": complete_graph(6), "C9": cycle_graph(9), "K7": complete_graph(7)}
+        assert {name: self.search_nodes(g) for name, g in unit.items()} == {
+            "K6": 91,
+            "C9": 51,
+            "K7": 607,
+        }
+        seeded = {}
+        for seed in (2, 5, 9):
+            rng = random.Random(seed)
+            g = random_graph(rng, min_vertices=12, max_vertices=14, max_extra_edges=8)
+            members = rng.sample(range(g.vertex_count), g.vertex_count * 2 // 3)
+            seeded[seed] = self.search_nodes(g, members)
+        assert seeded == {2: 200, 5: 668, 9: 2093}
 
 
 class TestBipartiteCover:
