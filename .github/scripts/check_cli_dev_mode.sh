@@ -77,6 +77,12 @@ trap 'rm -f "$over_cap" "$separated" "$separated_alloc"' EXIT
 } > "$over_cap"
 expect 2 cover "$over_cap"
 expect 0 allocate "$over_cap"
+# Past the cap the grand cost still prints: the matching has no cap.
+runs=$((runs + 1))
+if ! PYTHONPATH=src "$PYTHON" -X dev -W error -m covergame.cli allocate "$over_cap" | grep -qx "grand cost: 4"; then
+    echo "FAIL (no 'grand cost: 4' line): covergame allocate K8"
+    bad=$((bad + 1))
+fi
 
 # "#" comments holding a VT and a U+2028 (UTF-8 e2 80 a8): lines end at
 # LF, CRLF and CR only, so each comment stays one line.

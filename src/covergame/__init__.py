@@ -2,10 +2,11 @@
 cover games.
 
 Everything runs in exact rational arithmetic: integral covers by branch
-and bound, fractional and half-integral covers through an exact simplex
-solver, per-instance integrality gaps from shortest odd cycles, stable
-allocations from the dual packing program, and naive brute-force oracles
-that certify all of it at desk scale.
+and bound, the grand coalition cost by a blossom matching, fractional and
+half-integral covers through an exact simplex solver, per-instance
+integrality gaps from shortest odd cycles, stable allocations from the
+dual packing program, and naive brute-force oracles that certify all of
+it at desk scale.
 
 The public names below load on first use: ``covergame.solve`` imports
 the LP module when it is first read, so a program that computes no cover
@@ -23,7 +24,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.6.3"
+__version__ = "0.7.0"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

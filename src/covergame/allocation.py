@@ -13,12 +13,11 @@ from fractions import Fraction
 @dataclass(frozen=True)
 class AllocationReport:
     """A stable allocation with its guaranteed and achieved fractions of
-    the grand coalition cost. ``grand_cost`` and ``ratio`` are None when
-    the grand coalition has more candidate edges than the exact cover
-    solver's cap; ``ratio`` is also None when the grand cost is 0."""
+    the grand coalition cost. ``grand_cost`` is a Fraction on every graph;
+    ``ratio`` is None only when the grand cost is 0."""
 
     allocation: tuple[Fraction, ...]
     alpha: Fraction
     total: Fraction
-    grand_cost: Fraction | None
+    grand_cost: Fraction
     ratio: Fraction | None

@@ -12,7 +12,7 @@ byte-identical output.
 Each handler imports the layer it runs when it runs, so a process loads
 only the modules its subcommand needs: gap and verify load no cover or LP
 code, cover and cost load ``covers`` and with it ``lp``, and only allocate
-loads ``dataclasses``. ``json`` loads only for --format json.
+loads ``matching`` and ``dataclasses``. ``json`` loads only for --format json.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),
@@ -122,9 +122,8 @@ def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
     from .game import allocate_alpha_core
 
     report = allocate_alpha_core(g)
-    grand_cost, ratio = (
-        None if x is None else format_rational(x) for x in (report.grand_cost, report.ratio)
-    )
+    grand_cost = format_rational(report.grand_cost)
+    ratio = None if report.ratio is None else format_rational(report.ratio)
     payload = {
         "alpha": format_rational(report.alpha),
         "total": format_rational(report.total),
@@ -135,7 +134,7 @@ def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
     lines = [
         f"alpha: {payload['alpha']}",
         f"total: {payload['total']}",
-        f"grand cost: {grand_cost or 'unavailable (cap exceeded)'}",
+        f"grand cost: {grand_cost}",
         f"ratio: {ratio or 'unavailable'}",
         "allocation:",
         *(f"  {v} = {a}" for v, a in enumerate(payload["allocation"])),

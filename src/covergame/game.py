@@ -3,8 +3,12 @@ arithmetic, the per-instance integrality gap (the one place that computes
 rho = 1 + 1/ell), the dual-based allocation with its ell/(ell+1) and
 bipartite bounds, and odd-set membership verification. The functions that
 compute a cover import ``covers`` when they run, so the checkers and the
-gap load no cover or LP code, and only ``allocate_alpha_core`` loads
-``allocation`` and its dataclass.
+gap load no cover or LP code. ``allocate_alpha_core`` and
+``exact_best_ratio`` take the grand cost c(V) from ``matching``, Edmonds'
+blossom algorithm under Gallai's reduction, which is polynomial and has no
+cap; only they load it, and only ``allocate_alpha_core`` loads
+``allocation`` and its dataclass. ``coalition_cost`` stays on the branch
+and bound of ``covers``.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -175,29 +179,23 @@ def allocate_alpha_core(g: WeightedGraph) -> AllocationReport:
     both by the LP dual, a fractional cover of equal weight). That total is
     at least ell/(ell+1) of the integral grand cost because the
     integrality gap is 1 + 1/ell (ell the shortest odd cycle length); on
-    bipartite graphs the total matches the grand cost exactly. Both bounds
-    are asserted whenever the grand cost is within the cap.
+    bipartite graphs the total matches the grand cost exactly. The grand
+    cost comes from ``matching``'s certified Gallai cover, on every graph,
+    and both bounds are asserted.
     """
     from .allocation import AllocationReport
     from .covers import _optimal_packing
+    from .matching import gallai_cover
 
     allocation, total = _optimal_packing(g)
     gap = integrality_gap(g)
     alpha = 1 / gap.rho
-
-    try:
-        grand = coalition_cost(g, g.vertices())
-    except CapExceededError:
-        grand = None
-    ratio = None
-    if grand is not None:
-        if total < alpha * grand:
-            raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
-        if gap.ell is None and total != grand:
-            raise RuntimeError("bipartite allocation total must equal the grand cost")
-        if grand:
-            ratio = total / grand
-    return AllocationReport(allocation, alpha, total, grand, ratio)
+    grand = gallai_cover(g)[0]
+    if total < alpha * grand:
+        raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
+    if gap.ell is None and total != grand:
+        raise RuntimeError("bipartite allocation total must equal the grand cost")
+    return AllocationReport(allocation, alpha, total, grand, total / grand if grand else None)
 
 
 def verify_scaled_cover_membership(
@@ -241,11 +239,13 @@ def verify_scaled_cover_membership(
 
 def exact_best_ratio(g: WeightedGraph) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
-    covering alpha of the grand cost: fractional optimum over c(V)."""
+    covering alpha of the grand cost: fractional optimum over c(V), with
+    c(V) from ``matching``'s certified Gallai cover."""
     from .covers import _optimal_packing
+    from .matching import gallai_cover
 
     fractional = _optimal_packing(g)[1]
-    grand = coalition_cost(g, g.vertices())
+    grand = gallai_cover(g)[0]
     if grand == 0:
         raise ValueError("grand coalition cost is zero; the ratio is undefined")
     return fractional / grand

@@ -162,12 +162,15 @@ class TestAllocate:
         assert payload["alpha"] == "5/6"
         assert payload["allocation"] == ["1/2"] * 5
 
-    def test_cap_marks_fields_unavailable(self, capsys, k8_path):
+    def test_past_the_cap_reports_grand_cost_and_ratio(self, capsys, k8_path):
+        # The grand cost comes from the matching, which has no cap.
         code, out, _ = run(capsys, "allocate", k8_path)
         assert code == 0
-        assert "total: 4" in out
-        assert "grand cost: unavailable (cap exceeded)" in out
-        assert "ratio: unavailable" in out
+        for line in ("total: 4", "grand cost: 4", "ratio: 1"):
+            assert line in out.splitlines()
+        code, out, _ = run(capsys, "allocate", k8_path, "--format", "json")
+        payload = json.loads(out)
+        assert (code, payload["grand_cost"], payload["ratio"]) == (0, "4", "1")
 
 
 class TestCost:

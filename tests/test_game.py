@@ -3,6 +3,7 @@ and odd-set membership."""
 
 import json
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -244,10 +245,11 @@ class TestAllocation:
         assert report.ratio == 1
         assert report.alpha == 1
 
-    def test_cap_exceeded_leaves_cost_fields_unavailable(self):
-        report = allocate_alpha_core(complete_graph(8))  # 28 edges, over the cap of 24
-        assert report.grand_cost is None and report.ratio is None
-        assert report.total == 4
+    def test_past_the_cap_reports_grand_cost_and_ratio(self):
+        # 28 edges, over the exact search's cap of 24; the matching has none.
+        report = allocate_alpha_core(complete_graph(8))
+        assert (report.total, report.grand_cost, report.ratio) == (4, 4, 1)
+        assert exact_best_ratio(complete_graph(8)) == 1
 
     def test_zero_grand_cost_leaves_ratio_unavailable(self):
         report = allocate_alpha_core(triangle(F(0)))
@@ -425,11 +427,47 @@ class TestBestRatio:
     @pytest.mark.parametrize("ell", range(3, 24, 2))
     @pytest.mark.parametrize("weight", [1, F(918_273, 654_321)], ids=["unit", "six-digit"])
     def test_odd_cycles_attain_their_guarantee(self, ell, weight):
-        # C23 has 23 edges, the longest odd cycle within the exact solver's
-        # cap of 24; scaling every weight by one rational keeps the ratio.
+        # Scaling every weight by one rational keeps the ratio; the longer
+        # cycles of TestRatioAtScale run past the exact search's cap.
         g = cycle_graph(ell, weight)
         report = allocate_alpha_core(g)
         assert exact_best_ratio(g) == report.ratio == report.alpha == F(ell, ell + 1)
+
+
+class TestRatioAtScale:
+    """The paper's ell/(ell+1) guarantee on graphs of hundreds of vertices,
+    and its tightness on the unit chordless cycle that ``gap`` returns."""
+
+    @pytest.mark.parametrize(
+        "n, weights", [(200, "unit"), (250, "fractions"), (300, "unit")], ids=str
+    )
+    def test_guarantee_holds_and_the_gap_cycle_attains_it(self, n, weights):
+        rng = random.Random(n)
+        kinds = {"unit": {"max_numerator": 1, "max_denominator": 1},
+                 "fractions": {"max_numerator": 9, "max_denominator": 4}}
+        g = random_graph(rng, min_vertices=n, max_vertices=n, max_extra_edges=n // 4, **kinds[weights])
+        gap = integrality_gap(g)
+        bound = Fraction(gap.ell, gap.ell + 1)
+        start = time.perf_counter()
+        ratio = exact_best_ratio(g)
+        assert time.perf_counter() - start < 5
+        assert ratio >= bound
+        report = allocate_alpha_core(g)
+        assert (report.alpha, report.ratio) == (bound, ratio)
+        assert check_core_dual(g, report.allocation)[0]
+        label = {v: i for i, v in enumerate(gap.cycle[:-1])}
+        chords = [(label[u], label[v], 1) for u, v in g.edges if u in label and v in label]
+        assert len(chords) == gap.ell  # the cycle's own edges: it is chordless
+        assert exact_best_ratio(WeightedGraph(gap.ell, chords)) == bound
+
+    def test_disjoint_odd_cycles_give_their_pooled_ratio(self):
+        # Unit C_k has fractional optimum k/2 and grand cost (k+1)/2.
+        rng = random.Random(3)
+        lengths = [rng.randrange(3, 40, 2) for _ in range(16)]
+        g = disjoint_union(*map(cycle_graph, lengths))
+        ratio = Fraction(sum(lengths), sum(k + 1 for k in lengths))
+        assert g.vertex_count >= 200
+        assert exact_best_ratio(g) == allocate_alpha_core(g).ratio == ratio
 
 
 class TestAllocationFiles:

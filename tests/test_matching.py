@@ -1,0 +1,202 @@
+"""The blossom matching and Gallai's reduction, against oracles that share
+no logic with them: a brute-force maximum matching, ``brute_min_cover``
+within its budget and the branch and bound of ``min_edge_cover_exact``
+within its cap. Every run is seeded."""
+
+import itertools
+import random
+from fractions import Fraction as F
+
+import pytest
+from helpers import complete_graph, cycle_graph, path_graph, random_graph
+
+from covergame import WeightedGraph, allocate_alpha_core, brute_min_cover, min_edge_cover_exact
+from covergame.covers import EXACT_CANDIDATE_CAP
+from covergame.matching import gallai_cover, max_weight_matching
+from covergame.oracle import DEFAULT_BUDGET
+
+# Small blossom-heavy instances on 1-based vertices, as (u, v, gain): S-
+# blossoms built, nested, relabeled T, expanded mid-stage and expanded
+# recursively at the end of a stage (the classic cases of the blossom
+# algorithm's published test lists).
+CLASSIC = [
+    [(1, 2, 8), (1, 3, 9), (2, 3, 10), (3, 4, 7)],
+    [(1, 2, 9), (1, 3, 9), (2, 3, 10), (2, 4, 8), (3, 5, 8), (4, 5, 10), (5, 6, 6)],
+    [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 4), (1, 6, 3)],
+    [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 3), (1, 6, 4)],
+    [(1, 2, 9), (1, 3, 8), (2, 3, 10), (1, 4, 5), (4, 5, 3), (3, 6, 4)],
+    [(1, 2, 10), (1, 7, 10), (2, 3, 12), (3, 4, 20), (3, 5, 20), (4, 5, 25), (5, 6, 10),
+     (6, 7, 10), (7, 8, 8)],
+    [(1, 2, 8), (1, 3, 8), (2, 3, 10), (2, 4, 12), (3, 5, 12), (4, 5, 14), (4, 6, 12),
+     (5, 7, 12), (6, 7, 14), (7, 8, 12)],
+    [(1, 2, 23), (1, 5, 22), (1, 6, 15), (2, 3, 25), (3, 4, 22), (4, 5, 25), (4, 8, 14),
+     (5, 7, 13)],
+    [(1, 2, 19), (1, 3, 20), (1, 8, 8), (2, 3, 25), (2, 4, 18), (3, 5, 18), (4, 5, 13),
+     (4, 7, 7), (5, 6, 7)],
+    [(1, 2, 40), (1, 3, 40), (2, 3, 60), (2, 4, 55), (3, 5, 55), (4, 5, 50), (1, 8, 15),
+     (5, 7, 30), (7, 6, 10), (8, 10, 10), (4, 9, 30)],
+    [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30), (3, 9, 35),
+     (4, 8, 35), (5, 7, 26), (9, 10, 5)],
+    [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30), (3, 9, 35),
+     (4, 8, 26), (5, 7, 40), (9, 10, 5)],
+    [(1, 2, 45), (1, 5, 45), (2, 3, 50), (3, 4, 45), (4, 5, 50), (1, 6, 30), (3, 9, 35),
+     (4, 8, 28), (5, 7, 26), (9, 10, 5)],
+    [(1, 2, 45), (1, 7, 45), (2, 3, 50), (3, 4, 45), (4, 5, 95), (4, 6, 94), (5, 6, 94),
+     (6, 7, 50), (1, 8, 30), (3, 11, 35), (5, 9, 36), (7, 10, 26), (11, 12, 5)],
+]
+
+
+def brute_max_gain(n, edges):
+    """The largest total gain of a matching: each vertex in turn stays
+    single or takes one of its later neighbors."""
+    gains = {(u, v) if u < v else (v, u): w for u, v, w in edges}
+
+    def best(free):
+        if not free:
+            return 0
+        v, rest = free[0], free[1:]
+        options = [best(rest)]
+        for i, u in enumerate(rest):
+            if (v, u) in gains:
+                options.append(gains[(v, u)] + best(rest[:i] + rest[i + 1:]))
+        return max(options)
+
+    return best(tuple(range(n)))
+
+
+def matching_gain(edges, mate):
+    return sum(w for u, v, w in edges if mate[u] == v)
+
+
+def check_matching(n, edges):
+    mate = max_weight_matching(n, edges)
+    assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(n))
+    assert matching_gain(edges, mate) == brute_max_gain(n, edges)
+
+
+@pytest.mark.parametrize("case", range(len(CLASSIC)))
+@pytest.mark.parametrize("scale", [1, F(1, 3)], ids=["int", "fraction"])
+def test_classic_blossom_cases(case, scale):
+    edges = [(u - 1, v - 1, w * scale) for u, v, w in CLASSIC[case]]
+    check_matching(1 + max(max(u, v) for u, v, _ in edges), edges)
+
+
+def test_random_gains_against_brute_force():
+    # Ties, zero and negative gains, dense and sparse, ints and Fractions.
+    rng = random.Random(11)
+    for trial in range(300):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.2, 0.5, 1.0))
+        gain = (lambda: 1, lambda: rng.randint(-2, 6),
+                lambda: F(rng.randint(-3, 40), rng.randint(1, 7)))[trial % 3]
+        edges = [(u, v, gain()) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
+        check_matching(n, edges)
+
+
+def graph_pairs():
+    """(family, graph, coalition) triples, seeded."""
+    rng = random.Random(29)
+
+    def coalitions(g, count, max_size=None):
+        n = g.vertex_count
+        for _ in range(count):
+            yield rng.sample(range(n), rng.randint(1, max_size or n))
+
+    for _ in range(80):  # unit weights: many tied optima
+        g = random_graph(rng, max_vertices=8, max_extra_edges=4, max_numerator=1, max_denominator=1)
+        for s in coalitions(g, 4):
+            yield "unit", g, s
+    for _ in range(50):  # zero weights
+        g = random_graph(rng, max_vertices=8, max_extra_edges=4, min_numerator=0, max_numerator=2,
+                         max_denominator=1)
+        for s in coalitions(g, 4):
+            yield "zero", g, s
+    for _ in range(50):  # 6-digit denominators
+        n = rng.randint(2, 8)
+        g = random_graph(rng, max_vertices=n, min_vertices=n, max_extra_edges=4)
+        q = [rng.randint(100_000, 999_999) for _ in g.edges]
+        g = WeightedGraph(n, [(u, v, F(rng.randint(x, 9 * x), x)) for (u, v), x in zip(g.edges, q)])
+        for s in coalitions(g, 4):
+            yield "six-digit", g, s
+    for _ in range(50):  # one to three members: mostly boundary candidates
+        g = random_graph(rng, min_vertices=5, max_vertices=10, max_extra_edges=5, max_numerator=6,
+                         max_denominator=2)
+        for s in coalitions(g, 4, max_size=3):
+            yield "boundary", g, s
+    for n in range(2, 6):  # dense K_n, every coalition
+        for weights in ("unit", "int", "fraction"):
+            draw = {"unit": lambda: 1, "int": lambda: rng.randint(0, 5),
+                    "fraction": lambda: F(rng.randint(1, 12), rng.randint(1, 4))}[weights]
+            g = WeightedGraph(n, [(u, v, F(draw())) for u, v in itertools.combinations(range(n), 2)])
+            for size in range(1, n + 1):
+                for s in itertools.combinations(range(n), size):
+                    yield "dense", g, list(s)
+    for n, count in ((6, 4), (7, 12)):  # K7's six or seven members: the branch and bound alone
+        g = WeightedGraph(n, [(u, v, F(rng.randint(0, 4))) for u, v in itertools.combinations(range(n), 2)])
+        for _ in range(count):
+            yield "dense", g, rng.sample(range(n), rng.randint(n - 1, n))
+
+
+def test_gallai_cost_agrees_with_both_oracles():
+    checked = {"brute": 0, "exact": 0}
+    families = set()
+    for pairs, (family, g, s) in enumerate(graph_pairs(), 1):
+        cost, cover = gallai_cover(g, s)
+        members = set(s)
+        candidates = [e for e in g.edges if members.intersection(e)]
+        assert set(cover) <= set(candidates)
+        assert all(any(v in e for e in cover) for v in members)
+        assert sum(g.weight(*e) for e in cover) == cost
+        if len(candidates) <= DEFAULT_BUDGET.max_cover_edges:
+            assert cost == brute_min_cover(g, s), (family, g.edges, s)
+            checked["brute"] += 1
+        if len(candidates) <= EXACT_CANDIDATE_CAP:
+            assert cost == min_edge_cover_exact(g, s).weight, (family, g.edges, s)
+            checked["exact"] += 1
+        families.add(family)
+    assert pairs >= 1000 and checked["exact"] == pairs and checked["brute"] >= 1000
+    assert families == {"unit", "zero", "six-digit", "boundary", "dense"}
+
+
+@pytest.mark.parametrize("n", [8, 13, 40])
+def test_unit_complete_graphs_past_the_cap(n):
+    # c(S) = ceil(|S|/2) on unit K_n: one edge covers at most two members.
+    g = complete_graph(n)
+    rng = random.Random(n)
+    for size in (1, 2, n // 2, n - 1, n):
+        s = rng.sample(range(n), size)
+        assert gallai_cover(g, s)[0] == (size + 1) // 2
+
+
+def test_weights_beyond_float_range_stay_exact():
+    # float() of 10**400/3 overflows, and a 1,000-digit denominator rounds
+    # to 0.0 in a float: only exact arithmetic gives these totals.
+    huge = F(10**400, 3)
+    cost, cover = gallai_cover(path_graph([huge, 1, huge]))
+    assert type(cost) is F and cost == 2 * huge
+    assert cover == ((0, 1), (2, 3))
+    q = 10**999 + 7
+    tiny = F(1, q)
+    assert gallai_cover(cycle_graph(3, tiny))[0] == 2 * tiny
+    g = WeightedGraph(4, [(0, 1, tiny), (1, 2, F(q + 1, q)), (2, 3, F(3, q)), (0, 3, huge)])
+    assert gallai_cover(g)[0] == 4 * tiny
+    report = allocate_alpha_core(cycle_graph(5, huge))
+    assert report.grand_cost == 3 * huge and report.ratio == F(5, 6)
+    report = allocate_alpha_core(cycle_graph(7, tiny))
+    assert report.grand_cost == 4 * tiny and report.ratio == F(7, 8)
+
+
+def test_a_wrong_matching_fails_its_certificate(monkeypatch):
+    # Duals that do not certify the returned matching raise RuntimeError.
+    import covergame.matching as matching
+
+    real = matching._check_optimum
+
+    def unmatch_one(n, edges, mate, dual, parent):
+        v = next(v for v in range(n) if mate[v] >= 0)
+        mate[mate[v]] = mate[v] = -1
+        real(n, edges, mate, dual, parent)
+
+    monkeypatch.setattr(matching, "_check_optimum", unmatch_one)
+    with pytest.raises(RuntimeError, match="matching certificate"):
+        gallai_cover(cycle_graph(5), range(5))

@@ -22,8 +22,8 @@ SRC = str(Path(covergame.__file__).resolve().parent.parent)
 # loaded at start-up, so only what covergame adds is seen.
 LOADED_SCRIPT = """
 import contextlib, io, sys
-WATCHED = ("covergame.allocation", "covergame.covers", "covergame.lp", "covergame.oracle",
-           "dataclasses", "inspect", "json")
+WATCHED = ("covergame.allocation", "covergame.covers", "covergame.lp", "covergame.matching",
+           "covergame.oracle", "dataclasses", "inspect", "json")
 def added(before):
     return [m for m in WATCHED if m in sys.modules and m not in before]
 start = set(sys.modules)
@@ -64,9 +64,30 @@ def test_cli_loads_no_solver_oracle_or_json():
     # AllocationReport stays a dataclass, because callers change it with
     # dataclasses.replace, so allocate alone loads dataclasses (and inspect,
     # which dataclasses imports).
+    # The matching behind the grand cost loads in allocate alone.
     allocate = set(added["allocate"])
-    assert {"covergame.allocation", "covergame.covers", "covergame.lp", "dataclasses"} <= allocate
+    assert {"covergame.allocation", "covergame.covers", "covergame.lp", "covergame.matching",
+            "dataclasses"} <= allocate
     assert not allocate & {"covergame.oracle", "json"}
+
+
+def test_package_imports_only_the_standard_library():
+    # Every absolute import in src/covergame names a standard-library
+    # module; the package's own modules are imported relatively.
+    outside = set()
+    for path in Path(covergame.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update(
+                (path.name, name) for name in names
+                if name.partition(".")[0] not in sys.stdlib_module_names
+            )
+    assert outside == set()
 
 
 def test_allocation_module_holds_only_its_record():
