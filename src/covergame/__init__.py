@@ -24,7 +24,7 @@ imports ``dataclasses``.
 
 from importlib import import_module
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

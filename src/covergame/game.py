@@ -3,12 +3,12 @@ arithmetic, the per-instance integrality gap (the one place that computes
 rho = 1 + 1/ell), the dual-based allocation with its ell/(ell+1) and
 bipartite bounds, and odd-set membership verification. The functions that
 compute a cover import ``covers`` when they run, so the checkers and the
-gap load no cover or LP code. ``allocate_alpha_core`` and
-``exact_best_ratio`` take the grand cost c(V) from ``matching``, Edmonds'
-blossom algorithm under Gallai's reduction, which is polynomial and has no
-cap; only they load it, and only ``allocate_alpha_core`` loads
-``allocation`` and its dataclass. ``coalition_cost`` stays on the branch
-and bound of ``covers``.
+gap load no cover or LP code. ``allocate_alpha_core`` takes the grand
+cost c(V) from ``matching``, Edmonds' blossom algorithm under Gallai's
+reduction, which is polynomial and has no cap, and ``exact_best_ratio``
+returns its ratio; only they load ``matching``, ``allocation`` and its
+dataclass. ``coalition_cost`` stays on the branch and bound of
+``covers``.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -239,13 +239,9 @@ def verify_scaled_cover_membership(
 
 def exact_best_ratio(g: WeightedGraph) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
-    covering alpha of the grand cost: fractional optimum over c(V), with
-    c(V) from ``matching``'s certified Gallai cover."""
-    from .covers import _optimal_packing
-    from .matching import gallai_cover
-
-    fractional = _optimal_packing(g)[1]
-    grand = gallai_cover(g)[0]
-    if grand == 0:
+    covering alpha of the grand cost: fractional optimum over c(V), the
+    ratio of ``allocate_alpha_core``."""
+    ratio = allocate_alpha_core(g).ratio
+    if ratio is None:
         raise ValueError("grand coalition cost is zero; the ratio is undefined")
-    return fractional / grand
+    return ratio

@@ -9,10 +9,17 @@ edge. So c(S) is the sum of b_v over S less the largest total gain of a
 matching of G[S], where edge uv gains b_u + b_v - w_uv.
 
 The matching is Edmonds' primal-dual blossom algorithm (Edmonds 1965,
-"Paths, trees, and flowers"), with the O(n^3) bookkeeping of Galil's
-survey (ACM Computing Surveys, 1986): least-slack edges per vertex and per
-S-blossom. Vertex duals and slacks are kept doubled, so a dual only ever
-moves by + and -, and values are compared with < alone. The one halving
+"Paths, trees, and flowers"). Each stage grows alternating trees from the
+unmatched vertices along tight edges only. When no tight edge extends
+them, one scan over the positive-gain edges sets the dual step: the least
+slack from an S-blossom to a free one, or half the least slack between
+two S-blossoms, unless a T-blossom's dual or a vertex dual is smaller.
+The edge that sets the step turns tight and its S end is scanned again;
+a T-blossom whose dual reaches 0 is expanded; a vertex dual of 0 ends the
+search. S-blossoms are kept from stage to stage. A stage takes O(n) steps
+of O(m) each, and there are at most n/2 + 1 stages, so the search takes
+O(n^2 m) time, which is O(n^3) on sparse graphs. Vertex duals and slacks
+are kept doubled, so a dual only ever moves by + and -. The one halving
 is of the slack between two S-blossoms, which is even when the gains are
 ints. The gains are ints when every candidate weight is an integer and
 Fractions otherwise; no value passes through float.
@@ -66,10 +73,9 @@ def max_weight_matching(
     base = list(range(n)) + [-1] * n
     top = list(range(n))  # each vertex's top-level blossom
     free_ids = list(range(2 * n - 1, n - 1, -1))
+    # Labels are read on top-level blossoms only.
     label = [0] * (2 * n)  # 0 free, 1 S, 2 T; bit 4 is scan_blossom's breadcrumb
     label_edge: list = [None] * (2 * n)  # (v, w): how w's blossom got its label
-    best_edge = [-1] * (2 * n)  # least-slack edge to an S-blossom, by index
-    neighbor_best: list = [None] * (2 * n)  # an S-blossom's least-slack edges out
     queue: list[int] = []
 
     def slack(k: int):
@@ -92,9 +98,7 @@ def max_weight_matching(
         # Label w's top-level blossom t (1 S, 2 T), reached from v (-1: none);
         # a T-blossom's base mate becomes S.
         b = top[w]
-        label[w] = label[b] = t
-        label_edge[w] = label_edge[b] = None if v < 0 else (v, w)
-        best_edge[w] = best_edge[b] = -1
+        label[b], label_edge[b] = t, None if v < 0 else (v, w)
         if t == 1:
             queue.extend(leaves(b))
         else:
@@ -147,26 +151,17 @@ def max_weight_matching(
             if label[top[x]] == 2:
                 queue.append(x)
             top[x] = b
-        nearest: dict[int, int] = {}  # other S-blossom -> least-slack edge to it
-        for c in path:
-            if neighbor_best[c] is not None:
-                candidates, neighbor_best[c] = neighbor_best[c], None
-            else:
-                candidates = [k for x in leaves(c) for k in incident[x]]
-            for k in candidates:
-                other = top[head[k]] if top[tail[k]] == b else top[tail[k]]
-                if other != b and label[other] == 1:
-                    if other not in nearest or slack(k) < slack(nearest[other]):
-                        nearest[other] = k
-            best_edge[c] = -1
-        neighbor_best[b] = list(nearest.values())
-        best_edge[b] = min(neighbor_best[b], key=slack, default=-1)
 
-    def relabel_expanded_t_blossom(b: int) -> None:
-        # Walk from the child through which T-blossom b was reached to its
-        # base, relabeling the children on the even side T and S; then mark T
-        # each remaining child that an S-vertex outside b already reaches.
+    def expand_blossom(b: int) -> None:
+        # Free the children of T-blossom b, whose dual reached 0, as top-level
+        # blossoms. Walk from the child through which b was reached to its
+        # base, relabeling the children on the even side T and S; the others
+        # stay free, and the next dual step finds any tight edge into them.
         kids, joins = children[b], links[b]
+        for c in kids:
+            parent[c] = -1
+            for x in leaves(c):
+                top[x] = c
         entry = top[label_edge[b][1]]
         j = kids.index(entry)
         step = 1 if j & 1 else -1
@@ -178,40 +173,9 @@ def max_weight_matching(
             j += step
             v, w = joins[j] if step == 1 else joins[j - 1][::-1]
             j += step
-        bw = kids[j]
-        label[w] = label[bw] = 2
-        label_edge[w] = label_edge[bw] = (v, w)
-        best_edge[bw] = -1
-        j += step
-        while kids[j] != entry:
-            bv = kids[j]
-            j += step
-            if label[bv] == 1:
-                continue
-            reached = [x for x in leaves(bv) if label[x]]
-            if reached:
-                assign_label(reached[0], 2, label_edge[reached[0]][0])
-
-    def expand_blossom(b: int, end_of_stage: bool) -> None:
-        # Free b's children as top-level blossoms; at the end of a stage also
-        # expand each child whose dual is 0.
-        stack = [b]
-        while stack:
-            b = stack.pop()
-            for c in children[b]:
-                parent[c] = -1
-                if c < n:
-                    top[c] = c
-                elif end_of_stage and dual[c] == 0:
-                    stack.append(c)
-                else:
-                    for x in leaves(c):
-                        top[x] = c
-            if not end_of_stage and label[b] == 2:
-                relabel_expanded_t_blossom(b)
-            children[b] = links[b] = neighbor_best[b] = label_edge[b] = None
-            label[b], best_edge[b], base[b], dual[b] = 0, -1, -1, 0
-            free_ids.append(b)
+        label[kids[j]], label_edge[kids[j]] = 2, (v, w)
+        children[b] = links[b] = None
+        free_ids.append(b)
 
     def augment_blossom(b: int, v: int) -> None:
         # Flip the alternating path inside b from vertex v to b's base, which
@@ -267,8 +231,6 @@ def max_weight_matching(
     while True:  # one stage per augmentation
         label[:] = [0] * (2 * n)
         label_edge[:] = [None] * (2 * n)
-        best_edge[:] = [-1] * (2 * n)
-        neighbor_best[:] = [None] * (2 * n)
         queue.clear()
         for v in range(n):
             if mate[v] < 0 and label[top[v]] == 0:
@@ -279,49 +241,43 @@ def max_weight_matching(
                 v = queue.pop()
                 for k in incident[v]:
                     w = head[k] if tail[k] == v else tail[k]
-                    bv, bw = top[v], top[w]
-                    if bv == bw:
+                    bw = top[w]
+                    if bw == top[v] or slack(k) > 0:
                         continue
-                    k_slack = slack(k)
-                    if k_slack <= 0:  # tight
-                        if label[bw] == 0:
-                            assign_label(w, 2, v)
-                        elif label[bw] == 1:
-                            stem = scan_blossom(v, w)
-                            if stem >= 0:
-                                add_blossom(stem, v, w)
-                            else:
-                                augment_matching(v, w)
-                                augmented = True
-                                break
-                        elif label[w] == 0:  # inside a T-blossom, not yet reached
-                            label[w] = 2
-                            label_edge[w] = (v, w)
+                    if label[bw] == 0:
+                        assign_label(w, 2, v)
                     elif label[bw] == 1:
-                        if best_edge[bv] < 0 or k_slack < slack(best_edge[bv]):
-                            best_edge[bv] = k
-                    elif label[w] == 0:
-                        if best_edge[w] < 0 or k_slack < slack(best_edge[w]):
-                            best_edge[w] = k
+                        stem = scan_blossom(v, w)
+                        if stem >= 0:
+                            add_blossom(stem, v, w)
+                        else:
+                            augment_matching(v, w)
+                            augmented = True
+                            break
             if augmented:
                 break
             # No tight edge extends the search: move the duals by delta, the
             # largest step that keeps them feasible (doubled, as they are).
-            delta, kind, chosen = min(dual[:n]), 1, -1
-            for v in range(n):
-                if label[top[v]] == 0 and best_edge[v] >= 0:
-                    d = slack(best_edge[v])
-                    if d < delta:
-                        delta, kind, chosen = d, 2, best_edge[v]
-            for b in range(2 * n):
-                if parent[b] < 0 and label[b] == 1 and best_edge[b] >= 0:
-                    d = half(slack(best_edge[b]))
-                    if d < delta:
-                        delta, kind, chosen = d, 3, best_edge[b]
+            # One scan over the edges finds the least slack from an S-blossom
+            # to a free one, and half the least between two S-blossoms.
+            delta, chosen, expand = min(dual[:n]), -1, -1
+            for k, (u, v) in enumerate(zip(tail, head)):
+                bu, bv = top[u], top[v]
+                if bu == bv:
+                    continue
+                lu, lv = label[bu], label[bv]
+                if lu + lv == 1:  # an S-blossom and a free one
+                    d = slack(k)
+                elif lu == lv == 1:
+                    d = half(slack(k))
+                else:
+                    continue
+                if d < delta:
+                    delta, chosen = d, k
             blossoms = top_blossoms()
             for b in blossoms:
                 if label[b] == 2 and dual[b] < delta:
-                    delta, kind, chosen = dual[b], 4, b
+                    delta, expand = dual[b], b
             for v in range(n):
                 t = label[top[v]]
                 if t == 1:
@@ -333,18 +289,15 @@ def max_weight_matching(
                     dual[b] += delta
                 elif label[b] == 2:
                     dual[b] -= delta
-            if kind == 1:  # some vertex dual reached 0: the matching is optimal
-                break
-            if kind == 4:
-                expand_blossom(chosen, False)
-            else:
+            if expand >= 0:
+                expand_blossom(expand)
+            elif chosen >= 0:
                 v = tail[chosen]  # the edge is tight now: rescan its S end
                 queue.append(v if label[top[v]] == 1 else head[chosen])
+            else:  # some vertex dual reached 0: the matching is optimal
+                break
         if not augmented:
             break
-        for b in top_blossoms():
-            if label[b] == 1 and dual[b] == 0:
-                expand_blossom(b, True)
     _check_optimum(n, edges, mate, dual, parent)
     return mate
 

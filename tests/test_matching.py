@@ -16,9 +16,10 @@ from covergame.matching import gallai_cover, max_weight_matching
 from covergame.oracle import DEFAULT_BUDGET
 
 # Small blossom-heavy instances on 1-based vertices, as (u, v, gain): S-
-# blossoms built, nested, relabeled T, expanded mid-stage and expanded
-# recursively at the end of a stage (the classic cases of the blossom
-# algorithm's published test lists).
+# blossoms built, nested, kept into a later stage, relabeled T and expanded
+# mid-stage (the classic cases of the blossom algorithm's published test
+# lists). The last is a T-blossom reached away from its base, whose even
+# side must be relabeled when it expands.
 CLASSIC = [
     [(1, 2, 8), (1, 3, 9), (2, 3, 10), (3, 4, 7)],
     [(1, 2, 9), (1, 3, 9), (2, 3, 10), (2, 4, 8), (3, 5, 8), (4, 5, 10), (5, 6, 6)],
@@ -43,6 +44,7 @@ CLASSIC = [
      (4, 8, 28), (5, 7, 26), (9, 10, 5)],
     [(1, 2, 45), (1, 7, 45), (2, 3, 50), (3, 4, 45), (4, 5, 95), (4, 6, 94), (5, 6, 94),
      (6, 7, 50), (1, 8, 30), (3, 11, 35), (5, 9, 36), (7, 10, 26), (11, 12, 5)],
+    [(1, 2, 3), (1, 4, 3), (1, 5, 4), (2, 4, 3), (2, 5, 4), (3, 5, 3)],
 ]
 
 
@@ -91,6 +93,54 @@ def test_random_gains_against_brute_force():
                 lambda: F(rng.randint(-3, 40), rng.randint(1, 7)))[trial % 3]
         edges = [(u, v, gain()) for u, v in itertools.combinations(range(n), 2) if rng.random() < density]
         check_matching(n, edges)
+
+
+def shuffled_union(rng, parts):
+    """The (n, [(u, v, w)]) parts side by side, their vertex ids shuffled
+    together so that the components interleave."""
+    ids = list(range(sum(n for n, _ in parts)))
+    rng.shuffle(ids)
+    edges, offset = [], 0
+    for n, part in parts:
+        edges += [(ids[u + offset], ids[v + offset], w) for u, v, w in part]
+        offset += n
+    return len(ids), edges
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["int", "fraction"])
+def test_matching_at_scale_against_brute_force(fractional):
+    # 64 gain components, n >= 400: the search runs across hundreds of
+    # vertices, and the optimum is the sum of each component's own.
+    rng = random.Random(30 + fractional)
+    gain = ((lambda: F(rng.randint(-3, 40), rng.randint(1, 7))) if fractional
+            else (lambda: rng.randint(-2, 12)))
+    parts = []
+    for _ in range(64):
+        n = rng.randint(5, 9)
+        density = rng.choice((0.3, 0.6, 1.0))
+        parts.append((n, [(u, v, gain()) for u, v in itertools.combinations(range(n), 2)
+                          if rng.random() < density]))
+    n, edges = shuffled_union(rng, parts)
+    assert n >= 400
+    mate = max_weight_matching(n, edges)
+    assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(n))
+    assert matching_gain(edges, mate) == sum(brute_max_gain(*part) for part in parts)
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["int", "fraction"])
+def test_grand_cost_at_scale_against_brute_force(fractional):
+    # 64 graph components within brute_min_cover's budget, n >= 500: c(V)
+    # is the sum of each component's brute-force cover.
+    rng = random.Random(130 + fractional)
+    weights = {"max_numerator": 12, "max_denominator": 4 if fractional else 1}
+    components = [random_graph(rng, min_vertices=6, max_vertices=11, max_extra_edges=5, **weights)
+                  for _ in range(64)]
+    assert all(len(c.edges) <= DEFAULT_BUDGET.max_cover_edges for c in components)
+    n, edges = shuffled_union(rng, [(c.vertex_count, [(u, v, c.weight(u, v)) for u, v in c.edges])
+                                    for c in components])
+    assert n >= 500 and fractional == any(w.denominator > 1 for _, _, w in edges)
+    expected = sum(brute_min_cover(c, range(c.vertex_count)) for c in components)
+    assert gallai_cover(WeightedGraph(n, edges))[0] == expected
 
 
 def graph_pairs():
