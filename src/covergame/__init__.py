@@ -17,14 +17,16 @@ The result records (``CoverCertificate``, ``GapReport``, ``OddCycleReport``,
 ``LpSolution``, ``OracleBudget``, ``Constraint`` and ``LinearProgram``) are
 NamedTuples: they unpack, index and compare equal to a plain tuple of their
 fields, and ``record._replace(field=value)`` builds a changed copy, still
-checked for the two whose constructors check their fields. ``AllocationReport`` alone is a frozen dataclass, changed with
+checked for the two whose constructors check their fields.
+``AllocationReport`` alone is a frozen dataclass, changed with
 ``dataclasses.replace``; its module, ``allocation``, is the only one that
-imports ``dataclasses``.
+imports ``dataclasses``, and loads only when ``allocate_alpha_core`` runs
+(the CLI loads neither).
 """
 
 from importlib import import_module
 
-__version__ = "0.7.1"
+__version__ = "0.7.2"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

@@ -2,7 +2,9 @@
 the package's one dataclass, because callers build variants of it with
 ``dataclasses.replace`` (the benchmark's self-tests do). So this is the
 one module that imports ``dataclasses``; it imports nothing from the
-package, and only code that allocates loads it."""
+package, and only ``game.allocate_alpha_core`` loads it. The CLI's
+allocate reads the same fields from ``game._alpha_core`` and loads
+neither."""
 
 from __future__ import annotations
 

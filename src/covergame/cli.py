@@ -12,7 +12,9 @@ byte-identical output.
 Each handler imports the layer it runs when it runs, so a process loads
 only the modules its subcommand needs: gap and verify load no cover or LP
 code, cover and cost load ``covers`` and with it ``lp``, and only allocate
-loads ``matching`` and ``dataclasses``. ``json`` loads only for --format json.
+loads ``matching``. allocate reads the report's fields from
+``game._alpha_core``, so no subcommand loads ``allocation`` or
+``dataclasses``. ``json`` loads only for --format json.
 
 Exit codes: 0 success, 1 input or validation error, 2 budget or cap
 exceeded, 3 verification failed (verify only, with the witness printed),
@@ -119,17 +121,17 @@ def _cmd_gap(g, args) -> tuple[int, dict, list[str]]:
 
 
 def _cmd_allocate(g, args) -> tuple[int, dict, list[str]]:
-    from .game import allocate_alpha_core
+    from .game import _alpha_core
 
-    report = allocate_alpha_core(g)
-    grand_cost = format_rational(report.grand_cost)
-    ratio = None if report.ratio is None else format_rational(report.ratio)
+    allocation, alpha, total, grand, ratio = _alpha_core(g)
+    grand_cost = format_rational(grand)
+    ratio = None if ratio is None else format_rational(ratio)
     payload = {
-        "alpha": format_rational(report.alpha),
-        "total": format_rational(report.total),
+        "alpha": format_rational(alpha),
+        "total": format_rational(total),
         "grand_cost": grand_cost,
         "ratio": ratio,
-        "allocation": _rationals(report.allocation),
+        "allocation": _rationals(allocation),
     }
     lines = [
         f"alpha: {payload['alpha']}",

@@ -6,9 +6,11 @@ compute a cover import ``covers`` when they run, so the checkers and the
 gap load no cover or LP code. ``allocate_alpha_core`` takes the grand
 cost c(V) from ``matching``, Edmonds' blossom algorithm under Gallai's
 reduction, which is polynomial and has no cap, and ``exact_best_ratio``
-returns its ratio; only they load ``matching``, ``allocation`` and its
-dataclass. ``coalition_cost`` stays on the branch and bound of
-``covers``.
+returns its ratio; only they load ``matching``. Both compute through
+``_alpha_core``, which returns the report's fields as a plain tuple, and
+only ``allocate_alpha_core`` wraps them in ``allocation``'s dataclass, so
+the CLI, which reads the fields, loads no ``dataclasses``.
+``coalition_cost`` stays on the branch and bound of ``covers``.
 
 Players are vertices; a coalition pays the cheapest edge set covering its
 members, drawn from the edges inside it or crossing its boundary, so every
@@ -171,6 +173,27 @@ def integrality_gap(g: WeightedGraph) -> GapReport:
     return GapReport(report.length, ONE + Fraction(1, report.length), report.witness)
 
 
+def _alpha_core(
+    g: WeightedGraph,
+) -> tuple[Allocation, Fraction, Fraction, Fraction, Fraction | None]:
+    """The fields of ``allocate_alpha_core``'s report, in its field order:
+    allocation, alpha, total, grand cost and ratio. The CLI reads them
+    from here, so an allocate process loads neither ``allocation`` nor
+    ``dataclasses``."""
+    from .covers import _optimal_packing
+    from .matching import gallai_cover
+
+    allocation, total = _optimal_packing(g)
+    gap = integrality_gap(g)
+    alpha = 1 / gap.rho
+    grand = gallai_cover(g)[0]
+    if total < alpha * grand:
+        raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
+    if gap.ell is None and total != grand:
+        raise RuntimeError("bipartite allocation total must equal the grand cost")
+    return allocation, alpha, total, grand, total / grand if grand else None
+
+
 def allocate_alpha_core(g: WeightedGraph) -> AllocationReport:
     """Allocation from an optimal dual packing solution.
 
@@ -184,18 +207,8 @@ def allocate_alpha_core(g: WeightedGraph) -> AllocationReport:
     and both bounds are asserted.
     """
     from .allocation import AllocationReport
-    from .covers import _optimal_packing
-    from .matching import gallai_cover
 
-    allocation, total = _optimal_packing(g)
-    gap = integrality_gap(g)
-    alpha = 1 / gap.rho
-    grand = gallai_cover(g)[0]
-    if total < alpha * grand:
-        raise RuntimeError("allocation misses the guaranteed fraction of the grand cost")
-    if gap.ell is None and total != grand:
-        raise RuntimeError("bipartite allocation total must equal the grand cost")
-    return AllocationReport(allocation, alpha, total, grand, total / grand if grand else None)
+    return AllocationReport(*_alpha_core(g))
 
 
 def verify_scaled_cover_membership(
@@ -204,7 +217,9 @@ def verify_scaled_cover_membership(
     """Check the cover scaled by 1 + 1/ell (1 on bipartite graphs) against
     every odd-set constraint: for each odd-cardinality vertex set U the
     edges touching U must carry scaled total at least ceil(|U|/2). Returns
-    the first violated U in mask order, if any.
+    the first violated U in mask order, if any. The test is in ints: with
+    rho = p/q and t twice the touching total, U is violated when
+    p t < 2q ceil(|U|/2).
 
     On every vector it accepts the answer is (True, None): scaled by
     1 + 1/ell, every feasible half-integral cover meets every odd-set row,
@@ -221,18 +236,18 @@ def verify_scaled_cover_membership(
     from .covers import _validated_half_integral_cover
 
     x = _validated_half_integral_cover(g, values)
-    scale = integrality_gap(g).rho
+    rho = integrality_gap(g).rho
+    p, q = rho.numerator, rho.denominator
 
-    edge_masks = [(1 << u) | (1 << v) for u, v in g.edges]
-    edge_values = [x[e] for e in g.edges]
+    # Twice each nonzero cover value, an int, by the mask of its edge.
+    twice = [((1 << u) | (1 << v), int(2 * x[u, v])) for u, v in g.edges if x[u, v]]
     for mask in range(1, 1 << n):
         size = mask.bit_count()
         if size % 2 == 0:
             continue
-        touching = sum(
-            value for value, emask in zip(edge_values, edge_masks) if mask & emask
-        )
-        if scale * touching < (size + 1) // 2:
+        # rho * touching < ceil(|U|/2), with t = 2 * touching.
+        t = sum(value for emask, value in twice if mask & emask)
+        if p * t < 2 * q * ((size + 1) // 2):
             return False, frozenset(v for v in range(n) if mask >> v & 1)
     return True, None
 
@@ -241,7 +256,7 @@ def exact_best_ratio(g: WeightedGraph) -> Fraction:
     """Largest alpha for which this instance admits a stable allocation
     covering alpha of the grand cost: fractional optimum over c(V), the
     ratio of ``allocate_alpha_core``."""
-    ratio = allocate_alpha_core(g).ratio
+    ratio = _alpha_core(g)[4]
     if ratio is None:
         raise ValueError("grand coalition cost is zero; the ratio is undefined")
     return ratio

@@ -4,13 +4,21 @@ These are deliberately naive, share no optimization logic with the fast
 paths they certify, and refuse instances beyond small fixed budgets:
 ``DEFAULT_BUDGET``, an ``OracleBudget`` of 20 cover edges and 12
 coalition vertices, and ``GRID_EDGE_CAP`` = 12 edges for the {0, 1/2, 1}
-grid. The CLI loads this module only for verify --exhaustive; the test
-suite uses them as oracles.
+grid. Every walk is exhaustive, with no pruning: it visits every subset,
+grid point or coalition. The two cover walks go in Gray-code order, one
+coordinate changing per step, so each step updates the running weight
+and the per-vertex counts in amortized O(1): ``brute_min_cover`` over
+2^m subsets in Fractions, ``brute_fractional_optimum`` over 3^m grid
+points in ints, its loads in halves and its weights over the LCM of their
+denominators. They import from the package only its graphs, rationals
+and the allocation check of ``game``, never ``covers``, ``lp`` or
+``matching``. The CLI loads this module only for verify --exhaustive;
+the test suite uses them as oracles.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -82,25 +90,52 @@ def brute_fractional_optimum(g: WeightedGraph) -> Fraction:
     """Minimum fractional cover weight over the full {0, 1/2, 1}^m grid.
 
     Valid as an LP oracle because some optimal fractional cover is
-    half-integral. The grid is walked scaled by 2, as integers in {0, 1, 2},
-    so coverage is an integer test; only feasible points are weighed in
-    Fractions, and the best weight is halved at the end.
+    half-integral. The grid is walked scaled by 2, each coordinate in
+    {0, 1, 2}, in reflected ternary Gray-code order (Knuth, TAOCP 4A
+    7.2.1.1): from the all-zero point, each of the 3^m - 1 steps moves one
+    coordinate by +1 or -1. The step reverses the direction of each low
+    coordinate that cannot move, then moves the first one that can. So the
+    walk keeps, with amortized O(1) work per step, each vertex's load in
+    halves, the count of vertices whose load is below 2, and the running
+    weight as an int over L, the LCM of the weight denominators. A point
+    is a cover when that count is 0. Every point is visited (no pruning),
+    and the best weight is returned as best / 2L.
     """
     m = g.edge_count
     if m > GRID_EDGE_CAP:
         raise CapExceededError(f"{m} edges exceed the grid oracle budget of {GRID_EDGE_CAP}")
-    incident = [
-        tuple(j for j, e in enumerate(g.edges) if v in e) for v in range(g.vertex_count)
-    ]
     weights = [g.weight(*e) for e in g.edges]
-    best: Fraction | None = None
-    for point in itertools.product((0, 1, 2), repeat=m):
-        if all(sum(point[j] for j in edges) >= 2 for edges in incident):
-            weight = sum(w * x for w, x in zip(weights, point) if x)
-            if best is None or weight < best:
-                best = weight
-    assert best is not None  # the all-ones point is always feasible
-    return Fraction(best) / 2
+    lcm = math.lcm(*(w.denominator for w in weights))
+    scaled = [w.numerator * (lcm // w.denominator) for w in weights]
+
+    point = [0] * m
+    direction = [1] * m
+    load = [0] * g.vertex_count
+    below = g.vertex_count  # vertices with load < 2
+    weight = 0
+    best: int | None = None
+    for _ in range(3**m - 1):
+        j = 0
+        while point[j] == 1 + direction[j]:  # at 2 moving up, or at 0 moving down
+            direction[j] = -direction[j]
+            j += 1
+        u, v = g.edges[j]
+        if direction[j] > 0:
+            point[j] += 1
+            weight += scaled[j]
+            load[u] += 1
+            load[v] += 1
+            below -= (load[u] == 2) + (load[v] == 2)
+        else:
+            point[j] -= 1
+            weight -= scaled[j]
+            below += (load[u] == 2) + (load[v] == 2)
+            load[u] -= 1
+            load[v] -= 1
+        if not below and (best is None or weight < best):
+            best = weight
+    assert best is not None  # the all-ones point is always a cover
+    return Fraction(best, 2 * lcm)
 
 
 def brute_core_check(

@@ -352,6 +352,20 @@ class TestScaledMembership:
         ok, witness = verify_scaled_cover_membership(g, xt)
         assert not ok and witness == frozenset({0, 1, 2})
 
+    @pytest.mark.parametrize("rho, expected", [
+        (F(8, 7), (False, frozenset(range(5)))),  # 8/7 * 5/2 = 20/7 < 3
+        (F(6, 5), (True, None)),  # 6/5 * 5/2 = 3: the grand row is tight, not violated
+    ])
+    def test_five_cycle_halves_at_a_non_integer_scale(self, monkeypatch, rho, expected):
+        # The comparison is p * t < 2q * ceil(|U|/2) for rho = p/q and t
+        # twice the touching total, so q must not be dropped. Every smaller
+        # odd set of C5 touches at least 1 (one vertex) or 2 (three), so
+        # only the grand set can fail.
+        gap = GapReport(5, rho, None)
+        monkeypatch.setattr("covergame.game.integrality_gap", lambda g: gap)
+        g = cycle_graph(5)
+        assert verify_scaled_cover_membership(g, {e: HALF for e in g.edges}) == expected
+
     def test_bipartite_integral_scale_one(self):
         g = cycle_graph(6)
         cert = half_integral_cover(g, include_dual_witness=False)

@@ -1,6 +1,7 @@
 """Brute-force oracles: frozen examples, budgets, and agreement with the
 fast implementations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from helpers import complete_graph, cycle_graph, path_graph, random_graph, star_
 
 from covergame import (
     CapExceededError,
+    WeightedGraph,
     brute_core_check,
     brute_fractional_optimum,
     brute_min_cover,
@@ -17,10 +19,48 @@ from covergame import (
     min_edge_cover_exact,
     solve,
 )
+from covergame.oracle import GRID_EDGE_CAP
 from covergame.rationals import ONE, ZERO
 
 F = Fraction
 HALF = F(1, 2)
+
+
+def reference_grid_optimum(g):
+    """The grid oracle's first formulation, kept as the reference for its
+    Gray-code walk: every point of {0, 1, 2}^m in product order, a vertex
+    covered when its incident coordinates sum to at least 2, each cover
+    weighed in Fractions and the best one halved."""
+    incident = [
+        tuple(j for j, e in enumerate(g.edges) if v in e) for v in range(g.vertex_count)
+    ]
+    weights = [g.weight(*e) for e in g.edges]
+    best = None
+    for point in itertools.product((0, 1, 2), repeat=g.edge_count):
+        if all(sum(point[j] for j in edges) >= 2 for edges in incident):
+            weight = sum(w * x for w, x in zip(weights, point) if x)
+            if best is None or weight < best:
+                best = weight
+    return Fraction(best) / 2
+
+
+def grid_corpus(rng, count):
+    """Graphs with at most 9 edges and weights k/q, q in 1, 2, 7 and 10^6.
+    Three in four are random graphs on 2 to 7 vertices whose weights draw
+    k from 0..4 and q per edge, so a fifth are zero and one graph mixes
+    denominators. Every fourth is an odd cycle of length 3 to 9 with one q
+    and k from 1..3, where a cover of halves often beats every integral
+    one."""
+    denominators = (1, 2, 7, 10**6)
+    for i in range(count):
+        if i % 4:
+            g = random_graph(rng, max_vertices=7, max_extra_edges=3)
+            weights = [F(rng.randint(0, 4), rng.choice(denominators)) for _ in g.edges]
+        else:
+            g = cycle_graph(rng.choice((3, 5, 7, 9)))
+            q = rng.choice(denominators)
+            weights = [F(rng.randint(1, 3), q) for _ in g.edges]
+        yield WeightedGraph(g.vertex_count, [(*e, w) for e, w in zip(g.edges, weights)])
 
 
 class TestBruteMinCover:
@@ -81,6 +121,28 @@ class TestBruteFractionalOptimum:
         message = "^13 edges exceed the grid oracle budget of 12$"
         with pytest.raises(CapExceededError, match=message):
             brute_fractional_optimum(path_graph([1] * 13))
+
+    def test_gray_code_walk_agrees_with_the_product_grid(self):
+        rng = random.Random(211)
+        for g in grid_corpus(rng, 320):
+            assert g.edge_count <= 9
+            assert brute_fractional_optimum(g) == reference_grid_optimum(g), g.edges
+
+    def test_at_the_cap_agrees_with_lp(self):
+        # Three triangles joined in a ring: 9 vertices, 12 edges. A zero
+        # edge, denominators 1, 2, 7 and 10^6, and halves on two triangles
+        # beat every integral cover.
+        M = 10**6
+        g = WeightedGraph(9, [
+            (0, 1, ZERO), (1, 2, ONE), (0, 2, ONE),
+            (3, 4, F(2, 7)), (4, 5, F(2, 7)), (3, 5, F(3, 7)),
+            (6, 7, F(1, M)), (7, 8, F(3, M)), (6, 8, F(2, M)),
+            (2, 3, F(5)), (5, 6, HALF), (0, 8, F(3)),
+        ])
+        assert g.edge_count == GRID_EDGE_CAP
+        optimum = brute_fractional_optimum(g)
+        assert optimum == solve(fractional_cover_lp(g)).objective_value == F(1500003, M)
+        assert optimum < min_edge_cover_exact(g).weight
 
     def test_agrees_with_lp(self):
         rng = random.Random(89)

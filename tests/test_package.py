@@ -61,14 +61,14 @@ def test_cli_loads_no_solver_oracle_or_json():
     added = {command: run[2] for command, run in runs.items()}
     assert added["gap"] == added["verify"] == []
     assert added["cost"] == added["cover"] == added["frac-cover"] == ["covergame.covers", "covergame.lp"]
-    # AllocationReport stays a dataclass, because callers change it with
-    # dataclasses.replace, so allocate alone loads dataclasses (and inspect,
+    # The matching behind the grand cost loads in allocate alone. The CLI
+    # reads the report's fields from game._alpha_core, so allocate loads
+    # neither the AllocationReport dataclass nor dataclasses (nor inspect,
     # which dataclasses imports).
-    # The matching behind the grand cost loads in allocate alone.
     allocate = set(added["allocate"])
-    assert {"covergame.allocation", "covergame.covers", "covergame.lp", "covergame.matching",
-            "dataclasses"} <= allocate
-    assert not allocate & {"covergame.oracle", "json"}
+    assert {"covergame.covers", "covergame.lp", "covergame.matching"} <= allocate
+    assert not allocate & {"covergame.allocation", "covergame.oracle", "dataclasses", "inspect",
+                           "json"}
 
 
 def test_package_imports_only_the_standard_library():
@@ -97,6 +97,19 @@ def test_allocation_module_holds_only_its_record():
     assert "from ." not in source
     assert covergame.allocate_alpha_core.__module__ == "covergame.game"
     assert covergame._EXPORTS["allocate_alpha_core"] == "game"
+
+
+def test_oracle_shares_no_logic_with_the_fast_paths():
+    # The brute-force oracles certify covers, lp and matching, so they may
+    # import only the graph, rational and game-input helpers of the package.
+    source = Path(importlib.import_module("covergame.oracle").__file__).read_text("utf-8")
+    relative = {
+        node.module
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+    }
+    assert relative <= {"game", "graphs", "rationals"}
+    assert not relative & {"covers", "lp", "matching"}
 
 
 def test_all_is_the_sorted_export_table():
