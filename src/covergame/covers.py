@@ -51,16 +51,27 @@ class CoverCertificate(NamedTuple):
 
 
 def cover_weight(g: WeightedGraph, values: EdgeVector) -> Fraction:
-    return Fraction(sum(g.weight(*e) * x for e, x in values.items() if _fraction(x)))
+    """The vector's total weight. Raises ValueError on a key that is not
+    an edge of g."""
+    total = ZERO
+    for e, x in values.items():
+        try:
+            w = g.weight(*e)
+        except KeyError:
+            raise ValueError(f"cover key {e!r} is not an edge of the graph") from None
+        if _fraction(x):
+            total += w * x
+    return total
 
 
 def is_feasible_cover(g: WeightedGraph, values: EdgeVector) -> bool:
-    """Every vertex carries total incident value at least one."""
+    """Every vertex carries total incident value at least one; an edge
+    missing from the vector carries 0."""
     return all(_incident_total(g, values, v) >= 1 for v in g.vertices())
 
 
 def _incident_total(g: WeightedGraph, values: EdgeVector, v: int) -> Fraction:
-    return sum(_fraction(values[edge_key(v, u)]) for u in g.neighbors(v))
+    return sum(_fraction(values.get(edge_key(v, u), ZERO)) for u in g.neighbors(v))
 
 
 def is_half_integral(values: EdgeVector) -> bool:

@@ -18,23 +18,29 @@ The edge that sets the step turns tight and its S end is scanned again;
 a T-blossom whose dual reaches 0 is expanded; a vertex dual of 0 ends the
 search. S-blossoms are kept from stage to stage. A stage takes O(n) steps
 of O(m) each, and there are at most n/2 + 1 stages, so the search takes
-O(n^2 m) time, which is O(n^3) on sparse graphs. Vertex duals and slacks
-are kept doubled, so a dual only ever moves by + and -. The one halving
-is of the slack between two S-blossoms, which is even when the gains are
-ints. The gains are ints when every candidate weight is an integer and
-Fractions otherwise; no value passes through float.
+O(n^2 m) time, which is O(n^3) on sparse graphs.
+
+One int search: ``gallai_cover`` scales the candidate weights once by L,
+the LCM of their denominators, so b, the gains and the totals are ints,
+and c(S) is the int total over L; the cover's edges do not depend on L.
+``max_weight_matching`` scales its own gains the same way (by 1 for
+``gallai_cover``'s). Duals and slacks are kept doubled, so a dual only
+moves by + and -; the one halving, of the slack between two S-blossoms,
+is exact on ints, and an odd slack raises RuntimeError. No value passes
+through float.
 
 Each matching is checked against its final duals before it is returned:
 every dual is nonnegative, every edge has nonnegative slack, matched edges
 are tight, unmatched vertices have dual 0, and only full blossoms carry a
 positive dual. The cover the matching gives must cover the coalition and
 weigh exactly the sum of b less the matching's gain. A failed check raises
-RuntimeError. The module imports nothing but ``graphs``, and only
-``game``'s allocation and ratio load it."""
+RuntimeError. The module imports nothing of the package but ``graphs``,
+and only ``game``'s allocation and ratio load it."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .graphs import Edge, WeightedGraph, coalition
@@ -45,24 +51,21 @@ def max_weight_matching(
 ) -> list[int]:
     """A maximum-gain matching on vertices 0..vertex_count-1, as a mate
     list (-1 for an unmatched vertex). ``edges`` holds (u, v, gain) with
-    u != v, each pair once, the gains all ints or all Fractions. Edges of
-    gain <= 0 never help, so the search skips them; the certificate still
-    checks them. Raises RuntimeError unless the final duals certify the
-    matching."""
+    u != v, each pair once, each gain an int or a Fraction. Edges of gain
+    <= 0 never help, so the search skips them; the certificate still checks
+    them. Raises RuntimeError unless the final duals certify the matching."""
     n = vertex_count
-    used = [k for k, (_, _, w) in enumerate(edges) if w > 0]
-    tail = [edges[k][0] for k in used]
-    head = [edges[k][1] for k in used]
-    twice = [2 * edges[k][2] for k in used]  # doubled gains, as the duals are
+    scale = lcm(*(w.denominator for _, _, w in edges))
+    edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
+    used = [e for e in edges if e[2] > 0]
+    tail = [u for u, _, _ in used]
+    head = [v for _, v, _ in used]
+    twice = [2 * w for _, _, w in used]  # doubled gains, as the duals are
     mate = [-1] * n
     # Ids 0..n-1 are the vertices, n..2n-1 the nontrivial blossoms. dual[v]
     # is twice v's dual; dual[b] is blossom b's own.
-    dual: list = [max((edges[k][2] for k in used), default=0)] * n + [0] * n
+    dual = [max((w for _, _, w in used), default=0)] * n + [0] * n
     parent = [-1] * (2 * n)
-    if not used:
-        _check_optimum(n, edges, mate, dual, parent)
-        return mate
-    integral = isinstance(twice[0], int)
     incident: list[list[int]] = [[] for _ in range(n)]
     for k, (u, v) in enumerate(zip(tail, head)):
         incident[u].append(k)
@@ -221,9 +224,7 @@ def max_weight_matching(
                     augment_blossom(bt, j)
                 mate[j] = s
 
-    def half(x):
-        if not integral:
-            return x / 2
+    def half(x: int) -> int:
         if x % 2:
             raise RuntimeError("odd slack between two S-blossoms under integer gains")
         return x // 2
@@ -260,7 +261,7 @@ def max_weight_matching(
             # largest step that keeps them feasible (doubled, as they are).
             # One scan over the edges finds the least slack from an S-blossom
             # to a free one, and half the least between two S-blossoms.
-            delta, chosen, expand = min(dual[:n]), -1, -1
+            delta, chosen, expand = min(dual[:n], default=0), -1, -1
             for k, (u, v) in enumerate(zip(tail, head)):
                 bu, bv = top[u], top[v]
                 if bu == bv:
@@ -302,9 +303,9 @@ def max_weight_matching(
     return mate
 
 
-def _check_optimum(n: int, edges, mate: list[int], dual: list, parent: list[int]) -> None:
+def _check_optimum(n: int, edges, mate: list[int], dual: list[int], parent: list[int]) -> None:
     """Check the matching against its duals (vertex duals doubled), over
-    every given edge; RuntimeError on the first failure."""
+    every edge with its scaled gain; RuntimeError on the first failure."""
     if any(d < 0 for d in dual):
         raise RuntimeError("matching certificate: a dual is negative")
 
@@ -351,29 +352,26 @@ def gallai_cover(
     s = coalition(g, g.vertices() if members is None else members)
     candidates = [e for e in g.edges if e[0] in s or e[1] in s]
     weights = [g.weight(*e) for e in candidates]
-    if all(w.denominator == 1 for w in weights):
-        weights = [w.numerator for w in weights]
-    cheapest: dict[int, tuple] = {}  # member -> (weight, edge), first in edge order
-    for e, w in zip(candidates, weights):
+    scale = lcm(*(w.denominator for w in weights))
+    scaled = {e: w.numerator * (scale // w.denominator) for e, w in zip(candidates, weights)}
+    cheapest: dict[int, tuple[int, Edge]] = {}  # member -> (scaled weight, edge), first in edge order
+    for e, w in scaled.items():
         for v in e:
             if v in s and (v not in cheapest or w < cheapest[v][0]):
                 cheapest[v] = (w, e)
-    order = sorted(s)
-    position = {v: i for i, v in enumerate(order)}
-    inner = [(e, w) for e, w in zip(candidates, weights) if e[0] in s and e[1] in s]
+    inner = [(e, w) for e, w in scaled.items() if e[0] in s and e[1] in s]
     mate = max_weight_matching(
-        len(order),
-        [(position[u], position[v], cheapest[u][0] + cheapest[v][0] - w) for (u, v), w in inner],
+        g.vertex_count, [(u, v, cheapest[u][0] + cheapest[v][0] - w) for (u, v), w in inner]
     )
-    total = sum(cheapest[v][0] for v in order)
+    total = sum(cheapest[v][0] for v in s)
     cover = set()
     for (u, v), w in inner:
-        if mate[position[u]] == position[v]:
+        if mate[u] == v:
             total -= cheapest[u][0] + cheapest[v][0] - w
             cover.add((u, v))
-    cover.update(cheapest[v][1] for i, v in enumerate(order) if mate[i] < 0)
+    cover.update(cheapest[v][1] for v in s if mate[v] < 0)
     if not s <= {v for e in cover for v in e}:
         raise RuntimeError("Gallai cover leaves a coalition member uncovered")
-    if sum(g.weight(*e) for e in cover) != total:
+    if sum(scaled[e] for e in cover) != total:
         raise RuntimeError("Gallai cover weight differs from the matching's bound")
-    return Fraction(total), tuple(sorted(cover))
+    return Fraction(total, scale), tuple(sorted(cover))

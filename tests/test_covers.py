@@ -386,6 +386,15 @@ class TestReaders:
             assert is_feasible_cover(g, values) is feasible
             assert is_half_integral(values) is half
 
+    def test_a_missing_edge_reads_as_zero_and_a_foreign_key_is_named(self):
+        g = triangle()
+        assert is_feasible_cover(g, {}) is False
+        assert is_feasible_cover(g, {(0, 1): 1, (1, 2): 1}) is True  # (0, 2) reads as 0
+        assert cover_weight(g, {}) == 0 and cover_weight(g, {(0, 1): 1}) == 1
+        for values in ({(0, 9): 1}, {(0, 1): 1, (0, 9): 0}):
+            with pytest.raises(ValueError, match=r"cover key \(0, 9\) is not an edge"):
+                cover_weight(g, values)
+
 
 class TestSharedConstants:
     SHARED = (covers.ZERO, covers.HALF, covers.ONE)

@@ -4,6 +4,7 @@ within its budget and the branch and bound of ``min_edge_cover_exact``
 within its cap. Every run is seeded."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -143,6 +144,27 @@ def test_grand_cost_at_scale_against_brute_force(fractional):
     assert gallai_cover(WeightedGraph(n, edges))[0] == expected
 
 
+def test_grand_cost_with_distinct_300_digit_denominators():
+    # Every weight has its own 300-digit denominator, so their LCM has
+    # thousands of digits; c(V) is still the sum of the components' brute
+    # force covers.
+    rng = random.Random(300)
+    components = []
+    for _ in range(5):
+        c = random_graph(rng, min_vertices=6, max_vertices=9, max_extra_edges=4)
+        q = [rng.randint(10**299, 10**300 - 1) for _ in c.edges]
+        components.append(WeightedGraph(c.vertex_count, [(u, v, F(rng.randint(x, 12 * x), x))
+                                                          for (u, v), x in zip(c.edges, q)]))
+    assert all(len(c.edges) <= DEFAULT_BUDGET.max_cover_edges for c in components)
+    n, edges = shuffled_union(rng, [(c.vertex_count, [(u, v, c.weight(u, v)) for u, v in c.edges])
+                                    for c in components])
+    denominators = [w.denominator for _, _, w in edges]
+    assert len(edges) >= 30 and len(set(denominators)) == len(edges)
+    assert math.lcm(*denominators) > 10**6000
+    expected = sum(brute_min_cover(c, range(c.vertex_count)) for c in components)
+    assert gallai_cover(WeightedGraph(n, edges))[0] == expected
+
+
 def graph_pairs():
     """(family, graph, coalition) triples, seeded."""
     rng = random.Random(29)
@@ -206,6 +228,16 @@ def test_gallai_cost_agrees_with_both_oracles():
         families.add(family)
     assert pairs >= 1000 and checked["exact"] == pairs and checked["brute"] >= 1000
     assert families == {"unit", "zero", "six-digit", "boundary", "dense"}
+
+
+@pytest.mark.parametrize("k", [7, F(1, 3), F(999983, 10**6)], ids=["7", "1/3", "999983/10^6"])
+def test_scaling_every_weight_scales_the_cost_and_keeps_the_cover(k):
+    # The search runs on the weights times the LCM of their denominators,
+    # so a common factor may change that LCM but not the cover.
+    for family, g, s in graph_pairs():
+        scaled = WeightedGraph(g.vertex_count, [(u, v, k * g.weight(u, v)) for u, v in g.edges])
+        cost, cover = gallai_cover(g, s)
+        assert gallai_cover(scaled, s) == (k * cost, cover), (family, g.edges, s)
 
 
 @pytest.mark.parametrize("n", [8, 13, 40])

@@ -99,17 +99,23 @@ def test_allocation_module_holds_only_its_record():
     assert covergame._EXPORTS["allocate_alpha_core"] == "game"
 
 
-def test_oracle_shares_no_logic_with_the_fast_paths():
-    # The brute-force oracles certify covers, lp and matching, so they may
-    # import only the graph, rational and game-input helpers of the package.
-    source = Path(importlib.import_module("covergame.oracle").__file__).read_text("utf-8")
-    relative = {
+def relative_imports(module: str) -> set[str | None]:
+    source = Path(importlib.import_module(f"covergame.{module}").__file__).read_text("utf-8")
+    return {
         node.module
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.ImportFrom) and node.level > 0
     }
+
+
+def test_oracle_shares_no_logic_with_the_fast_paths():
+    # The brute-force oracles certify covers, lp and matching, so they may
+    # import only the graph, rational and game-input helpers of the package.
+    relative = relative_imports("oracle")
     assert relative <= {"game", "graphs", "rationals"}
     assert not relative & {"covers", "lp", "matching"}
+    # matching.py, the grand cost's core, imports nothing of the package but graphs.
+    assert relative_imports("matching") == {"graphs"}
 
 
 def test_all_is_the_sorted_export_table():
