@@ -26,7 +26,7 @@ imports ``dataclasses``, and loads only when ``allocate_alpha_core`` runs
 
 from importlib import import_module
 
-__version__ = "0.7.3"
+__version__ = "0.7.4"
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {

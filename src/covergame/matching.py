@@ -21,21 +21,34 @@ of O(m) each, and there are at most n/2 + 1 stages, so the search takes
 O(n^2 m) time, which is O(n^3) on sparse graphs.
 
 One int search: ``gallai_cover`` scales the candidate weights once by L,
-the LCM of their denominators, so b, the gains and the totals are ints,
-and c(S) is the int total over L; the cover's edges do not depend on L.
-``max_weight_matching`` scales its own gains the same way (by 1 for
-``gallai_cover``'s). Duals and slacks are kept doubled, so a dual only
-moves by + and -; the one halving, of the slack between two S-blossoms,
-is exact on ints, and an odd slack raises RuntimeError. No value passes
-through float.
+the LCM of their denominators, so b and the gains are ints, and the
+cover's edges do not depend on L. ``max_weight_matching`` takes int gains
+only. Duals and slacks are kept doubled, so a dual only moves by + and -;
+the one halving, of the slack between two S-blossoms, is exact on ints,
+and an odd slack raises RuntimeError. No value passes through float.
 
-Each matching is checked against its final duals before it is returned:
-every dual is nonnegative, every edge has nonnegative slack, matched edges
-are tight, unmatched vertices have dual 0, and only full blossoms carry a
-positive dual. The cover the matching gives must cover the coalition and
-weigh exactly the sum of b less the matching's gain. A failed check raises
-RuntimeError. The module imports nothing of the package but ``graphs``,
-and only ``game``'s allocation and ratio load it."""
+Each cost carries one certificate: a dual of the edge-cover LP of S with
+odd-set rows (Schrijver, Combinatorial Optimization, ch. 27), read off the
+matching's final duals. With pi_v half of vertex v's doubled dual and z_B
+the dual of blossom B, set y_v = b_v - pi_v - (the sum of z_B over the
+blossoms B that hold v), and give the members U of each blossom B the
+odd-set value z_U = z_B. ``gallai_cover`` checks, in ints times 2L, that
+y >= 0, z >= 0 and each U is odd; that on every candidate edge the y of
+its members plus the z of each U it touches is at most its weight; and
+that the sum of y plus the sum of z_U (|U| + 1)/2 equals the cover's
+weight, summed from the graph's own Fraction weights. By weak duality the
+cover is then minimum, whatever the matching did, and a wrong L shows as
+unequal totals. A failed check raises RuntimeError.
+
+Why y >= 0 holds: if v lies in a blossom, the cycle of its innermost
+blossom has an edge vu, which stays tight and lies inside every blossom
+that holds v. So pi_v + (the z_B of those blossoms) = gain_uv - pi_u <=
+b_u + b_v - w_uv <= b_v, since pi_u >= 0 and b_u <= w_uv. A matched v in
+no blossom gets the same bound from its matched edge, and an unmatched v
+in no blossom ends with pi_v = 0. The check still tests it.
+
+The module imports nothing of the package but ``graphs``, and only
+``game``'s allocation and ratio load it."""
 
 from __future__ import annotations
 
@@ -47,16 +60,16 @@ from .graphs import Edge, WeightedGraph, coalition
 
 
 def max_weight_matching(
-    vertex_count: int, edges: Sequence[tuple[int, int, int | Fraction]]
-) -> list[int]:
-    """A maximum-gain matching on vertices 0..vertex_count-1, as a mate
-    list (-1 for an unmatched vertex). ``edges`` holds (u, v, gain) with
-    u != v, each pair once, each gain an int or a Fraction. Edges of gain
-    <= 0 never help, so the search skips them; the certificate still checks
-    them. Raises RuntimeError unless the final duals certify the matching."""
+    vertex_count: int, edges: Sequence[tuple[int, int, int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """A maximum-gain matching on vertices 0..vertex_count-1 and its final
+    duals: (mate, dual, parent). mate[v] is v's partner, -1 if unmatched;
+    dual[v] is twice vertex v's dual, and dual[b] is the dual of blossom b
+    (ids n..2n-1); parent[x] is the blossom that holds vertex or blossom x
+    directly, -1 at the top. ``edges`` holds (u, v, gain) with u != v, each
+    pair once, each gain an int. Edges of gain <= 0 never help, so the
+    search skips them."""
     n = vertex_count
-    scale = lcm(*(w.denominator for _, _, w in edges))
-    edges = [(u, v, w.numerator * (scale // w.denominator)) for u, v, w in edges]
     used = [e for e in edges if e[2] > 0]
     tail = [u for u, _, _ in used]
     head = [v for _, v, _ in used]
@@ -299,46 +312,7 @@ def max_weight_matching(
                 break
         if not augmented:
             break
-    _check_optimum(n, edges, mate, dual, parent)
-    return mate
-
-
-def _check_optimum(n: int, edges, mate: list[int], dual: list[int], parent: list[int]) -> None:
-    """Check the matching against its duals (vertex duals doubled), over
-    every edge with its scaled gain; RuntimeError on the first failure."""
-    if any(d < 0 for d in dual):
-        raise RuntimeError("matching certificate: a dual is negative")
-
-    def chain(v: int) -> list[int]:  # v's blossoms, outermost first
-        out = [v]
-        while parent[out[-1]] >= 0:
-            out.append(parent[out[-1]])
-        return out[::-1]
-
-    matched_edges = 0
-    for u, v, w in edges:
-        s = dual[u] + dual[v] - 2 * w
-        for a, b in zip(chain(u), chain(v)):
-            if a != b:
-                break
-            s += 2 * dual[a]
-        if s < 0:
-            raise RuntimeError(f"matching certificate: edge {(u, v)} has negative slack")
-        if mate[u] == v:
-            if mate[v] != u or s != 0:
-                raise RuntimeError(f"matching certificate: matched edge {(u, v)} is not tight")
-            matched_edges += 1
-    if 2 * matched_edges != sum(1 for x in mate if x >= 0):
-        raise RuntimeError("matching certificate: a mate pair is not a given edge")
-    if any(mate[v] < 0 and dual[v] != 0 for v in range(n)):
-        raise RuntimeError("matching certificate: an unmatched vertex has a positive dual")
-    members: dict[int, set[int]] = {}  # blossom -> its vertices
-    for v in range(n):
-        for b in chain(v)[:-1]:
-            members.setdefault(b, set()).add(v)
-    for b, inside in members.items():
-        if dual[b] > 0 and sum(1 for v in inside if mate[v] in inside) != len(inside) - 1:
-            raise RuntimeError("matching certificate: a blossom with a positive dual is not full")
+    return mate, dual, parent
 
 
 def gallai_cover(
@@ -347,31 +321,44 @@ def gallai_cover(
     """c(S) and a minimum cover of S, as its sorted edges: a maximum-gain
     matching of G[S] plus the cheapest candidate edge of each member it
     leaves unmatched, ties to the lowest edge key. Raises RuntimeError
-    unless the matching is certified and the cover covers S and weighs
-    exactly the sum of b less the matching's gain."""
+    unless the cover covers S and the covering dual read off the matching's
+    duals is feasible and worth exactly the cover's weight."""
     s = coalition(g, g.vertices() if members is None else members)
-    candidates = [e for e in g.edges if e[0] in s or e[1] in s]
-    weights = [g.weight(*e) for e in candidates]
-    scale = lcm(*(w.denominator for w in weights))
-    scaled = {e: w.numerator * (scale // w.denominator) for e, w in zip(candidates, weights)}
+    weight = {e: g.weight(*e) for e in g.edges if e[0] in s or e[1] in s}
+    scale = lcm(*(w.denominator for w in weight.values()))
+    scaled = {e: w.numerator * (scale // w.denominator) for e, w in weight.items()}
     cheapest: dict[int, tuple[int, Edge]] = {}  # member -> (scaled weight, edge), first in edge order
     for e, w in scaled.items():
         for v in e:
             if v in s and (v not in cheapest or w < cheapest[v][0]):
                 cheapest[v] = (w, e)
     inner = [(e, w) for e, w in scaled.items() if e[0] in s and e[1] in s]
-    mate = max_weight_matching(
+    mate, dual, parent = max_weight_matching(
         g.vertex_count, [(u, v, cheapest[u][0] + cheapest[v][0] - w) for (u, v), w in inner]
     )
-    total = sum(cheapest[v][0] for v in s)
-    cover = set()
-    for (u, v), w in inner:
-        if mate[u] == v:
-            total -= cheapest[u][0] + cheapest[v][0] - w
-            cover.add((u, v))
+    cover = {e for e, _ in inner if mate[e[0]] == e[1]}
     cover.update(cheapest[v][1] for v in s if mate[v] < 0)
     if not s <= {v for e in cover for v in e}:
         raise RuntimeError("Gallai cover leaves a coalition member uncovered")
-    if sum(scaled[e] for e in cover) != total:
-        raise RuntimeError("Gallai cover weight differs from the matching's bound")
-    return Fraction(total, scale), tuple(sorted(cover))
+    # The covering dual, doubled and times L: y[v] is 2y_v, and the members
+    # of blossom b form an odd set U with z_U = dual[b].
+    chain: dict[int, list[int]] = {v: [] for v in s}  # member -> the blossoms that hold it
+    size: dict[int, int] = {}  # blossom -> its member count
+    for v in s:
+        b = parent[v]
+        while b >= 0:
+            chain[v].append(b)
+            size[b] = size.get(b, 0) + 1
+            b = parent[b]
+    y = {v: 2 * cheapest[v][0] - dual[v] - 2 * sum(dual[b] for b in chain[v]) for v in s}
+    if min(y.values()) < 0 or any(dual[b] < 0 or k % 2 == 0 for b, k in size.items()):
+        raise RuntimeError("covering dual: a value is negative or an odd set is even")
+    for e, w in scaled.items():
+        inside = [v for v in e if v in s]
+        touched = {b for v in inside for b in chain[v]}
+        if sum(y[v] for v in inside) + 2 * sum(dual[b] for b in touched) > 2 * w:
+            raise RuntimeError(f"covering dual: edge {e} is overloaded")
+    cost = Fraction(sum(y.values()) + sum(dual[b] * (k + 1) for b, k in size.items()), 2 * scale)
+    if sum(weight[e] for e in cover) != cost:
+        raise RuntimeError("Gallai cover weight differs from its covering dual's value")
+    return cost, tuple(sorted(cover))

@@ -1,7 +1,8 @@
 """The blossom matching and Gallai's reduction, against oracles that share
 no logic with them: a brute-force maximum matching, ``brute_min_cover``
 within its budget and the branch and bound of ``min_edge_cover_exact``
-within its cap. Every run is seeded."""
+within its cap. Each cost's covering dual is also rebuilt here from the
+matching's duals and checked in Fractions. Every run is seeded."""
 
 import itertools
 import math
@@ -71,8 +72,15 @@ def matching_gain(edges, mate):
     return sum(w for u, v, w in edges if mate[u] == v)
 
 
+def int_gains(edges):
+    """The gains times the LCM of their denominators, as ints: the
+    matching takes int gains only."""
+    scale = math.lcm(*(F(w).denominator for _, _, w in edges))
+    return [(u, v, int(w * scale)) for u, v, w in edges]
+
+
 def check_matching(n, edges):
-    mate = max_weight_matching(n, edges)
+    mate = max_weight_matching(n, int_gains(edges))[0]
     assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(n))
     assert matching_gain(edges, mate) == brute_max_gain(n, edges)
 
@@ -123,7 +131,7 @@ def test_matching_at_scale_against_brute_force(fractional):
                           if rng.random() < density]))
     n, edges = shuffled_union(rng, parts)
     assert n >= 400
-    mate = max_weight_matching(n, edges)
+    mate = max_weight_matching(n, int_gains(edges))[0]
     assert all(mate[v] < 0 or mate[mate[v]] == v for v in range(n))
     assert matching_gain(edges, mate) == sum(brute_max_gain(*part) for part in parts)
 
@@ -268,17 +276,152 @@ def test_weights_beyond_float_range_stay_exact():
     assert report.grand_cost == 4 * tiny and report.ratio == F(7, 8)
 
 
-def test_a_wrong_matching_fails_its_certificate(monkeypatch):
-    # Duals that do not certify the returned matching raise RuntimeError.
+def classic_instance(case, scale=1):
+    """CLASSIC[case] as a Gallai instance on members 0..k-1: each member v
+    has a pendant edge to its own non-member v + k, of weight B, one more
+    than the largest gain, and each gain g_uv becomes an inner edge of
+    weight 2B - g_uv. So every b_v is B, every inner edge gains its own
+    g_uv, and c(members) = kB less the largest gain. Returns (g, k, B, that
+    cost), all times scale."""
+    gains = [(u - 1, v - 1, w) for u, v, w in CLASSIC[case]]
+    k = 1 + max(max(u, v) for u, v, _ in gains)
+    top = 1 + max(w for _, _, w in gains)
+    edges = [(v, v + k, F(top * scale)) for v in range(k)]
+    edges += [(u, v, F((2 * top - w) * scale)) for u, v, w in gains]
+    return WeightedGraph(2 * k, edges), k, top * scale, (k * top - brute_max_gain(k, gains)) * scale
+
+
+@pytest.mark.parametrize("case", range(len(CLASSIC)))
+@pytest.mark.parametrize("scale", [1, F(1, 3)], ids=["int", "fraction"])
+def test_classic_blossom_cases_through_gallai(case, scale):
+    g, k, _, expected = classic_instance(case, scale)
+    assert gallai_cover(g, range(k))[0] == expected
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every (mate, dual, parent) that gallai_cover gets from the matching."""
     import covergame.matching as matching
 
-    real = matching._check_optimum
+    real, seen = matching.max_weight_matching, []
 
-    def unmatch_one(n, edges, mate, dual, parent):
-        v = next(v for v in range(n) if mate[v] >= 0)
-        mate[mate[v]] = mate[v] = -1
-        real(n, edges, mate, dual, parent)
+    def recording(n, edges):
+        seen.append(real(n, edges))
+        return seen[-1]
 
-    monkeypatch.setattr(matching, "_check_optimum", unmatch_one)
-    with pytest.raises(RuntimeError, match="matching certificate"):
-        gallai_cover(cycle_graph(5), range(5))
+    monkeypatch.setattr(matching, "max_weight_matching", recording)
+    return seen
+
+
+def covering_dual(g, s, result):
+    """The covering dual of c(S) rebuilt in Fractions from the matching's
+    final duals: y by member, and z as (odd set, value) pairs, one per
+    blossom that holds a member."""
+    _, dual, parent = result
+    members = set(s)
+    candidates = [e for e in g.edges if members.intersection(e)]
+    scale = math.lcm(*(g.weight(*e).denominator for e in candidates))
+    b = {v: min(g.weight(*e) for e in candidates if v in e) for v in members}
+    holders = {}  # member -> the blossoms above it
+    for v in members:
+        holders[v], x = set(), v
+        while parent[x] >= 0:
+            x = parent[x]
+            holders[v].add(x)
+    y = {v: b[v] - F(dual[v], 2 * scale) - sum(F(dual[x], scale) for x in holders[v]) for v in members}
+    z = [(frozenset(v for v in members if x in holders[v]), F(dual[x], scale))
+         for x in set().union(*holders.values())]
+    return y, z
+
+
+def check_covering_dual(g, cost, y, z):
+    """(y, z) is feasible for the edge-cover LP of the members of y with
+    odd-set rows, and worth cost."""
+    assert min(y.values()) >= 0
+    assert all(value >= 0 and len(odd) % 2 for odd, value in z)
+    for e in g.edges:
+        inside = [v for v in e if v in y]
+        touching = sum(value for odd, value in z if odd.intersection(e))
+        assert not inside or sum(y[v] for v in inside) + touching <= g.weight(*e), e
+    assert sum(y.values()) + sum(value * (len(odd) + 1) / 2 for odd, value in z) == cost
+
+
+def odd_cycle_pairs():
+    """(family, graph, coalition) triples on unit odd cycles with chords of
+    weight 1 or 2: ties everywhere and blossoms in most matchings. Seeded."""
+    rng = random.Random(33)
+    for _ in range(150):
+        k = rng.choice((3, 5, 7, 9, 11))
+        edges = {(i, (i + 1) % k): F(1) for i in range(k)}
+        for _ in range(rng.randint(0, 3)):
+            u, v = rng.sample(range(k), 2)
+            edges.setdefault((u, v), F(rng.randint(1, 2)))
+        g = WeightedGraph(k, [(u, v, w) for (u, v), w in edges.items() if (v, u) not in edges or u < v])
+        yield "odd-cycle", g, list(range(k))
+        for _ in range(2):
+            yield "odd-cycle", g, rng.sample(range(k), rng.randint(max(1, k - 2), k))
+
+
+def test_covering_dual_certifies_every_cost(captured):
+    # The (y, z) read off the matching's duals, rebuilt and checked here in
+    # Fractions: feasible and worth exactly c(S), blossoms or none.
+    pairs = with_blossom = 0
+    for _, g, s in itertools.chain(graph_pairs(), odd_cycle_pairs()):
+        cost = gallai_cover(g, s)[0]
+        y, z = covering_dual(g, s, captured[-1])
+        check_covering_dual(g, cost, y, z)
+        pairs += 1
+        with_blossom += any(value > 0 for _, value in z)
+    assert pairs >= 1000 and with_blossom >= 200
+
+
+def test_a_wrong_lcm_fails_the_certificate(monkeypatch):
+    # With max in place of lcm, L is 3 and 1/2 scales to 1, as 1/3 does:
+    # the dual's value, 2/3, is not the cover's own weight, 5/6.
+    import covergame.matching as matching
+
+    g = path_graph([F(1, 2), F(1, 3)])
+    assert gallai_cover(g)[0] == F(5, 6)
+    monkeypatch.setattr(matching, "lcm", max)
+    with pytest.raises(RuntimeError):
+        gallai_cover(g)
+
+
+def test_a_wrong_matching_fails_its_certificate(monkeypatch, captured):
+    # Corrupted matching output fails the covering-dual check: one matched
+    # pair unmatched; one positive blossom dual set to 0; one vertex dual
+    # past 2b_v; one unit of vertex dual moved between two members, which
+    # keeps the dual's value but overloads an edge.
+    import covergame.matching as matching
+
+    g, k, top, expected = classic_instance(1)
+    assert gallai_cover(g, range(k))[0] == expected
+    mate, dual, parent = captured[0]
+    y = covering_dual(g, range(k), captured[0])[0]
+    u = next(v for v in range(k) if mate[v] >= 0)
+    rich = max((v for v in range(k) if v not in (u, mate[u])), key=y.get)
+    assert y[rich] >= F(1, 2) and any(dual[b] > 0 for b in range(2 * k, 4 * k))
+
+    def unmatch(mate, dual, parent):
+        mate[mate[u]] = mate[u] = -1
+
+    def unblossom(mate, dual, parent):
+        dual[next(b for b in range(2 * k, 4 * k) if dual[b] > 0)] = 0
+
+    def overdraw(mate, dual, parent):
+        dual[u] = 2 * top + 1
+
+    def shift(mate, dual, parent):
+        dual[u] -= 1
+        dual[rich] += 1
+
+    recording = matching.max_weight_matching
+    for fault in (unmatch, unblossom, overdraw, shift):
+        def corrupted(n, edges, fault=fault):
+            result = recording(n, edges)
+            fault(*result)
+            return result
+
+        monkeypatch.setattr(matching, "max_weight_matching", corrupted)
+        with pytest.raises(RuntimeError):
+            gallai_cover(g, range(k))
