@@ -17,7 +17,7 @@ from pathlib import Path
 
 from workloads import WORKLOADS
 
-LIMIT = 4000  # bytes per graph; about 3.2 kB on Python 3.11.7
+LIMIT = 2500  # bytes per graph; about 2.0 kB on Python 3.11.7
 
 w = WORKLOADS["coalition-cost"]
 cases = w.generate(97)

@@ -25,11 +25,7 @@ from .graphs import CapExceededError, Edge, WeightedGraph, coalition
 from .graphs import double_graph, edge_key, _doubled_pair
 from .graphs import _bfs_distances, _conflict_vertex, _lex_shortest_path  # the shared traversal
 from .lp import LinearProgram, LpSolution, dual_packing_lp, fractional_cover_lp, solve
-from .rationals import HALF, ONE, ZERO, _fraction
-
-# Every half-integral entry this module builds is one of the three shared
-# constants, so a vector holds no Fraction of its own per edge.
-_SHARED = {x: x for x in (ZERO, HALF, ONE)}
+from .rationals import HALF, ONE, ZERO, _fraction, _shared
 
 # Most candidate edges the exact cover search takes: its run time grows
 # exponentially in their number.
@@ -78,11 +74,6 @@ def is_half_integral(values: EdgeVector) -> bool:
     return all(_fraction(x) in (ZERO, HALF, ONE) for x in values.values())
 
 
-def _shared(x: Fraction) -> Fraction:
-    """The module constant equal to x when there is one, else x itself."""
-    return _SHARED.get(x, x)
-
-
 def _validated_half_integral_cover(g: WeightedGraph, values: EdgeVector) -> EdgeVector:
     """The vector in Fractions, keeping the caller's Fraction objects.
     Raises ValueError unless it gives every edge a value in {0, 1/2, 1}
@@ -116,13 +107,13 @@ def min_edge_cover_exact(
     the recursion is one level per chosen edge, so at most that cap deep.
     """
     s = coalition(g, g.vertices() if members is None else members)
-    candidates = [e for e in g.edges if e[0] in s or e[1] in s]
+    candidates = [(w, e) for e, w in zip(g.edges, g.weights) if e[0] in s or e[1] in s]
     if len(candidates) > EXACT_CANDIDATE_CAP:
         raise CapExceededError(
             f"{len(candidates)} candidate edges exceed the exact-solver cap of {EXACT_CANDIDATE_CAP}"
         )
 
-    options = {v: sorted((g.weight(*e), e) for e in candidates if v in e) for v in s}
+    options = {v: sorted(c for c in candidates if v in c[1]) for v in s}
     half = {v: pairs[0][0] / 2 for v, pairs in options.items()}
 
     def search(uncovered: frozenset[int], budget: Fraction, bound: Fraction) -> _Found | None:
@@ -141,7 +132,7 @@ def min_edge_cover_exact(
                 best = budget, (e, *found[1])
         return best
 
-    weight, edges = search(s, sum(g.weight(*e) for e in candidates) + 1, sum(half.values()))
+    weight, edges = search(s, sum(w for w, _ in candidates) + 1, sum(half.values()))
     values = dict.fromkeys(g.edges, ZERO) | dict.fromkeys(edges, ONE)
     return CoverCertificate("integral", values, weight)
 
@@ -159,8 +150,8 @@ def _optimum(lp: LinearProgram) -> LpSolution:
 def _optimal_packing(g: WeightedGraph) -> tuple[tuple[Fraction, ...], Fraction]:
     """An optimal packing vector y of the graph and its total, which equals
     the fractional covering optimum: ``solve`` certifies y by its dual, a
-    fractional cover of equal weight. Entries equal to 0, 1/2 or 1 are the
-    shared constants."""
+    fractional cover of equal weight. Entries equal to 1/2 or to an integer
+    from 0 to 256 are the objects of the shared table of ``rationals``."""
     packing = _optimum(dual_packing_lp(g))
     return tuple(map(_shared, packing.values)), packing.objective_value
 

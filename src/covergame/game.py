@@ -110,8 +110,7 @@ def check_core_dual(
     violated edge in edge order, if any.
     """
     p, q = _numerators_denominators(_validated_allocation(g, allocation))
-    for u, v in g.edges:
-        w = g.weight(u, v)
+    for (u, v), w in zip(g.edges, g.weights):
         if (p[u] * q[v] + p[v] * q[u]) * w.denominator > w.numerator * q[u] * q[v]:
             return False, (u, v)
     return True, None
@@ -134,11 +133,16 @@ def check_core_stars(
     and w_uv = r/s, the margin is (p_u s - r q_u) / (q_u s).
     """
     p, q = _numerators_denominators(_validated_allocation(g, allocation))
-    for v in range(g.vertex_count):
+    # Each vertex's (neighbor, weight) pairs, in one pass over the sorted
+    # edges, so each list comes out in increasing neighbor order.
+    stars: list[list[tuple[int, Fraction]]] = [[] for _ in range(g.vertex_count)]
+    for (a, b), w in zip(g.edges, g.weights):
+        stars[a].append((b, w))
+        stars[b].append((a, w))
+    for v, star in enumerate(stars):
         positive = []
         best_num, best_den, best_u = 0, 0, -1  # best margin; best_den 0 means none yet
-        for u in g.neighbors(v):  # increasing ids, so a tie keeps the lowest
-            w = g.weight(u, v)
+        for u, w in star:  # increasing ids, so a tie keeps the lowest
             num = p[u] * w.denominator - w.numerator * q[u]
             den = q[u] * w.denominator
             if num > 0:

@@ -1,8 +1,12 @@
 """Weighted-graph arena: parsing of graph text, coalition validation, the
 bipartiteness test, shortest odd cycles, and the bipartite doubling
-construction. A parsed graph holds one weight object per distinct weight
-token of its file, and the tokens "0", "1" and "1/2" give the shared
-constants of ``rationals``.
+construction. A graph holds two aligned tuples: ``edges``, the sorted edge
+keys, and ``weights``, the weight of each in the same position. Every walk
+that reads weights zips the two; ``weight(u, v)`` bisects ``edges`` for
+the rare lookup of one edge. A parsed graph holds one weight object per
+distinct weight token of its file, and an integer token from 0 to 256, or
+the token "1/2", gives the object of the shared table of ``rationals``, so
+the small weights of many graphs are the same objects.
 
 ``_bfs_distances`` and ``_lex_shortest_path`` are the package's one BFS
 and one tie-broken path: the bipartiteness test, the odd-walk witness, the
@@ -25,6 +29,7 @@ and either may be kept, so sharing a graph across threads stays safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
 from operator import index
@@ -69,13 +74,14 @@ class WeightedGraph:
     constructor checks all of them. ``parse_graph`` feeds it and adds line
     numbers; it rejects n <= 0 itself only so that a bad header is reported
     before the count of edge lines is checked. ``edges`` holds the sorted
-    edge keys, and ``neighbors(v)`` the sorted neighbors of v, so its length
-    is v's degree. The neighbor tuples are built on the first ``neighbors``
-    call, so a graph that is never traversed, or a copy or pickle of one,
-    holds none.
+    edge keys and ``weights`` their weights, aligned: ``weights[i]`` is the
+    weight of ``edges[i]``. ``neighbors(v)`` holds the sorted neighbors of
+    v, so its length is v's degree. The neighbor tuples are built on the
+    first ``neighbors`` call, so a graph that is never traversed, or a copy
+    or pickle of one, holds none.
     """
 
-    __slots__ = ("vertex_count", "edges", "_weight", "_neighbors")
+    __slots__ = ("vertex_count", "edges", "weights", "_neighbors")
 
     def __init__(self, vertex_count: int, weighted_edges: Iterable[tuple[int, int, Fraction]]):
         vertex_count = index(vertex_count)  # like the vertex ids below
@@ -84,7 +90,9 @@ class WeightedGraph:
         weight: dict[Edge, Fraction] = {}
         ends: set[int] = set()
         for u, v, w in weighted_edges:
-            u, v = index(u), index(v)  # a float, a Fraction or a str raises TypeError
+            if type(u) is not int or type(v) is not int:  # parsed ids are ints already
+                # A bool reads as its int; a float, a Fraction or a str raises TypeError.
+                u, v = index(u), index(v)
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 message = f"edge ({_echo(u)}, {_echo(v)}) is out of range"
                 raise GraphFormatError("vertex-range", message)
@@ -105,9 +113,12 @@ class WeightedGraph:
         if len(ends) < vertex_count:
             v = next(v for v in range(vertex_count) if v not in ends)
             raise GraphFormatError("isolated-vertex", f"vertex {v} has no incident edge")
+        edges = sorted(weight)
         self.vertex_count = vertex_count
-        self.edges: tuple[Edge, ...] = tuple(sorted(weight))
-        self._weight = weight
+        self.edges: tuple[Edge, ...] = tuple(edges)
+        # From a list: tuple() of an iterator grows and then shrinks the
+        # tuple, which leaves CPython's tuple free lists unbalanced.
+        self.weights: tuple[Fraction, ...] = tuple([weight[e] for e in edges])
 
     @property
     def edge_count(self) -> int:
@@ -117,7 +128,15 @@ class WeightedGraph:
         return range(self.vertex_count)
 
     def weight(self, u: int, v: int) -> Fraction:
-        return self._weight[edge_key(u, v)]
+        """The weight of edge uv; KeyError when uv is not an edge."""
+        e = edge_key(u, v)
+        try:
+            i = bisect_left(self.edges, e)
+        except TypeError:  # a key of another type, such as a pair of strs
+            raise KeyError(e) from None
+        if i == len(self.edges) or self.edges[i] != e:
+            raise KeyError(e)
+        return self.weights[i]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         # The unset slot, not a __getattr__ hook, marks the first call: a
@@ -148,7 +167,8 @@ def parse_graph(source: str) -> WeightedGraph:
     starting with ``#``, blank lines and a leading byte-order mark are
     ignored. Violations raise GraphFormatError with a line number and a
     distinct error kind. Edges with equal weight tokens share one Fraction,
-    and the tokens "0", "1" and "1/2" give ``ZERO``, ``ONE`` and ``HALF``.
+    the tokens "0", "1" and "1/2" give ``ZERO``, ``ONE`` and ``HALF``, and
+    any other integer token up to 256 gives the shared table's object.
     """
     significant = _significant_lines(source)
     if not significant:
@@ -175,7 +195,8 @@ def parse_graph(source: str) -> WeightedGraph:
     # and its errors get the number of the line being read.
     line_no = header_no
     # One Fraction per distinct weight token in this text, keyed by the
-    # token: hashing a str is cheaper than hashing a Fraction.
+    # token: hashing a str is cheaper than hashing a Fraction. A miss goes
+    # to ``parse_rational``, which looks up the shared table for an integer.
     weights = {"0": ZERO, "1": ONE, "1/2": HALF}
 
     def weighted_edges() -> Iterable[tuple[int, int, Fraction]]:
@@ -359,7 +380,6 @@ def double_graph(g: WeightedGraph) -> WeightedGraph:
     uv as both copies of ``_doubled_pair``, carrying its weight."""
     n = g.vertex_count
     weighted_edges: list[tuple[int, int, Fraction]] = []
-    for e in g.edges:
-        w = g.weight(*e)
+    for e, w in zip(g.edges, g.weights):
         weighted_edges += [(a, b, w) for a, b in _doubled_pair(e, n)]
     return WeightedGraph(2 * n, weighted_edges)

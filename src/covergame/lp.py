@@ -287,7 +287,7 @@ def fractional_cover_lp(g: WeightedGraph) -> LinearProgram:
     covering constraint per vertex (a row of the incidence matrix),
     objective min sum(w_e x_e)."""
     constraints = tuple(Constraint(tuple(row), ">=", ONE) for row in _incidence(g))
-    return LinearProgram("min", tuple(g.weight(*e) for e in g.edges), constraints)
+    return LinearProgram("min", g.weights, constraints)
 
 
 def dual_packing_lp(g: WeightedGraph) -> LinearProgram:
@@ -295,5 +295,5 @@ def dual_packing_lp(g: WeightedGraph) -> LinearProgram:
     "y_u + y_v <= w_uv" constraint per edge (a column of the incidence
     matrix), objective max sum(y_v)."""
     columns = zip(*_incidence(g))
-    constraints = tuple(Constraint(col, "<=", g.weight(*e)) for col, e in zip(columns, g.edges))
+    constraints = tuple(Constraint(col, "<=", w) for col, w in zip(columns, g.weights))
     return LinearProgram("max", tuple([ONE] * g.vertex_count), constraints)

@@ -324,7 +324,7 @@ def gallai_cover(
     unless the cover covers S and the covering dual read off the matching's
     duals is feasible and worth exactly the cover's weight."""
     s = coalition(g, g.vertices() if members is None else members)
-    weight = {e: g.weight(*e) for e in g.edges if e[0] in s or e[1] in s}
+    weight = {e: w for e, w in zip(g.edges, g.weights) if e[0] in s or e[1] in s}
     scale = lcm(*(w.denominator for w in weight.values()))
     scaled = {e: w.numerator * (scale // w.denominator) for e, w in weight.items()}
     cheapest: dict[int, tuple[int, Edge]] = {}  # member -> (scaled weight, edge), first in edge order

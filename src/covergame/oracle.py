@@ -50,13 +50,13 @@ def brute_min_cover(g: WeightedGraph, members: Iterable[int]) -> Fraction:
     bookkeeping while still visiting every subset (no pruning).
     """
     s = coalition(g, members)
-    candidates = [e for e in g.edges if e[0] in s or e[1] in s]
+    candidates = [(e, w) for e, w in zip(g.edges, g.weights) if e[0] in s or e[1] in s]
     k = len(candidates)
     cap = DEFAULT_BUDGET.max_cover_edges
     if k > cap:
         raise CapExceededError(f"{k} candidate edges exceed the oracle budget of {cap}")
-    weights = [g.weight(*e) for e in candidates]
-    covered = [tuple(v for v in e if v in s) for e in candidates]
+    weights = [w for _, w in candidates]
+    covered = [tuple(v for v in e if v in s) for e, _ in candidates]
 
     hits = {v: 0 for v in s}
     uncovered = len(s)
@@ -104,9 +104,8 @@ def brute_fractional_optimum(g: WeightedGraph) -> Fraction:
     m = g.edge_count
     if m > GRID_EDGE_CAP:
         raise CapExceededError(f"{m} edges exceed the grid oracle budget of {GRID_EDGE_CAP}")
-    weights = [g.weight(*e) for e in g.edges]
-    lcm = math.lcm(*(w.denominator for w in weights))
-    scaled = [w.numerator * (lcm // w.denominator) for w in weights]
+    lcm = math.lcm(*(w.denominator for w in g.weights))
+    scaled = [w.numerator * (lcm // w.denominator) for w in g.weights]
 
     point = [0] * m
     direction = [1] * m

@@ -9,9 +9,13 @@ start with one "-". Each part is read by ``int``, so it may have at most
 the interpreter's int-to-str limit of digits (4300 by default), and a
 result past that limit renders through ``decimal``, which ``fractions``
 already imports. Graph and allocation files share one reader of their
-numbered lines. The module also holds the three constants that the other
-modules share, ``ZERO``, ``HALF`` and ``ONE``, and the one conversion of
-an input number to Fraction, which takes ints and Fractions only.
+numbered lines. The module also holds the one conversion of an input
+number to Fraction, which takes ints and Fractions only, and the one table
+of shared exact values: ``ZERO``, ``HALF``, ``ONE`` and Fraction(k) for
+2 <= k <= 256, the range of CPython's own small ints. ``parse_rational``
+returns the table's object for an integer token in that range, so equal
+weights of many graphs, and equal entries of allocations, hold one
+Fraction between them; ``_shared`` gives the table's object for any value.
 """
 
 from __future__ import annotations
@@ -22,11 +26,21 @@ from numbers import Rational
 
 _ECHO_LIMIT = 40
 
-# One object each for the values that covers, LP rows and allocations
-# build most, so equal entries share it instead of holding a Fraction each.
+# One object each for the values that graphs, covers, LP rows and
+# allocations hold most, so equal entries share it instead of holding a
+# Fraction each. The integer entries are keyed by their int: a parsed int
+# up to 256 is CPython's cached object, which the lookup finds by identity,
+# without hashing a Fraction. A Fraction key hashes as the int it equals.
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
+_SHARED: dict[int | Fraction, Fraction] = {0: ZERO, 1: ONE, HALF: HALF}
+_SHARED.update((k, Fraction(k)) for k in range(2, 257))
+
+
+def _shared(x: Fraction) -> Fraction:
+    """The table's object equal to x when there is one, else x itself."""
+    return _SHARED.get(x, x)
 
 
 def _fraction(x: int | Fraction) -> Fraction:
@@ -77,7 +91,8 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_rational(token: str) -> Fraction:
-    """Parse "p" or "p/q" (q > 0) into a Fraction.
+    """Parse "p" or "p/q" (q > 0) into a Fraction; "p" with 0 <= p <= 256
+    gives the shared table's object.
 
     Raises ValueError on anything else, including decimals and "p/0".
     """
@@ -87,7 +102,10 @@ def parse_rational(token: str) -> Fraction:
     numerator, denominator = int(p), int(q) if slash else 1
     if denominator == 0:
         raise ValueError(f"zero denominator: {_echo(token)}")
-    return Fraction(numerator, denominator) if slash else Fraction(numerator)
+    if slash:
+        return Fraction(numerator, denominator)
+    shared = _SHARED.get(numerator)
+    return Fraction(numerator) if shared is None else shared
 
 
 def format_rational(value: Fraction) -> str:

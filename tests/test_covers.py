@@ -39,7 +39,7 @@ from covergame import (
     shortest_odd_cycle,
     solve,
 )
-from covergame import covers
+from covergame import covers, rationals
 
 F = Fraction
 HALF = F(1, 2)
@@ -394,10 +394,13 @@ class TestReaders:
         for values in ({(0, 9): 1}, {(0, 1): 1, (0, 9): 0}):
             with pytest.raises(ValueError, match=r"cover key \(0, 9\) is not an edge"):
                 cover_weight(g, values)
+        with pytest.raises(ValueError, match=r"cover key \('a', 'b'\) is not an edge"):
+            cover_weight(g, {("a", "b"): 1})
 
 
 class TestSharedConstants:
     SHARED = (covers.ZERO, covers.HALF, covers.ONE)
+    TABLE = tuple(rationals._SHARED.values())  # the three and the ints 2..256
 
     def assert_shared(self, values):
         assert all(any(x is c for c in self.SHARED) for x in values.values()), values
@@ -433,14 +436,16 @@ class TestSharedConstants:
         self.assert_shared(canonical)
 
     @pytest.mark.parametrize(
-        "g", [triangle(), cycle_graph(5), cycle_graph(4)], ids=["triangle", "C5", "bipartite-C4"]
+        "g",
+        [triangle(), cycle_graph(5), cycle_graph(4), triangle(F(4)), cycle_graph(4, F(6))],
+        ids=["triangle", "C5", "bipartite-C4", "triangle-4", "bipartite-C4-6"],
     )
     def test_packing_entries_are_the_module_constants(self, g):
         # The dual witness and the allocation are both optimal packings.
         vectors = (half_integral_cover(g).dual_witness, allocate_alpha_core(g).allocation)
-        entries = [y for vector in vectors for y in vector if y in self.SHARED]
+        entries = [y for vector in vectors for y in vector if y in self.TABLE]
         assert entries
-        assert all(any(y is c for c in self.SHARED) for y in entries), vectors
+        assert all(any(y is c for c in self.TABLE) for y in entries), vectors
 
     def test_validation_keeps_the_callers_fractions(self):
         g = triangle()

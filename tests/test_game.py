@@ -166,12 +166,16 @@ class TestCheckers:
             check_core_dual(g, (HALF, HALF, 0.5))
 
     def test_integer_checkers_match_fraction_reference(self):
-        tight = multi_member = tied = 0
+        # The references read each weight through neighbors() and weight(),
+        # the checkers through the weights aligned with the edges.
+        pairs = violating = tight = multi_member = tied = 0
         for g, a in _checker_corpus(seed=409, graphs=320):
             dual = check_core_dual(g, a)
             stars = check_core_stars(g, a)
             assert dual == fraction_check_core_dual(g, a), (g.edges, a)
             assert stars == fraction_check_core_stars(g, a), (g.edges, a)
+            pairs += 1
+            violating += not dual[0]
             if dual[0]:
                 tight += any(a[u] + a[v] == g.weight(u, v) for u, v in g.edges)
             if not stars[0]:
@@ -182,6 +186,7 @@ class TestCheckers:
         # The corpus reaches each branch where a strict comparison or the
         # lowest-id tie rule decides the result.
         assert tight >= 100 and multi_member >= 50 and tied >= 20, (tight, multi_member, tied)
+        assert pairs >= 500 and 3 * violating >= pairs, (pairs, violating)
 
     def test_zero_allocation_passes(self):
         g = triangle()

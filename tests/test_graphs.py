@@ -33,6 +33,8 @@ from covergame import (
     CapExceededError,
     GraphFormatError,
     WeightedGraph,
+    check_core_dual,
+    check_core_stars,
     coalition,
     coalition_cost,
     covers,
@@ -235,6 +237,16 @@ class TestParsing:
     def test_constructor_keeps_exact_weights(self, weight):
         assert WeightedGraph(2, [(0, 1, weight)]).weight(0, 1) == weight
 
+    def test_weight_of_a_non_edge_raises_key_error(self):
+        g = WeightedGraph(5, [(3, 4, 3), (1, 2, 1), (0, 3, 2)])
+        assert g.edges == ((0, 3), (1, 2), (3, 4)) and g.weights == (2, 1, 3)
+        assert [g.weight(v, u) for u, v in g.edges] == [2, 1, 3]
+        # Before the first edge, between two, past the last, a loop, and a
+        # pair of another type.
+        for u, v in [(0, 1), (9, 0), (2, 3), (4, 5), (4, 4), ("a", "b")]:
+            with pytest.raises(KeyError):
+                g.weight(u, v)
+
     def test_repr(self):
         assert repr(parse_graph(TRIANGLE_TEXT)) == "WeightedGraph(n=3, m=3)"
 
@@ -284,6 +296,16 @@ class TestWeightSharing:
         assert g.weight(1, 2) is ONE
         assert g.weight(2, 3) is HALF
 
+    def test_small_integer_tokens_are_shared_across_parses(self):
+        text = "5 4\n0 1 2\n1 2 17\n2 3 256\n3 4 257\n"
+        g, h = parse_graph(text), parse_graph(text)
+        assert [g.weight(*e) is h.weight(*e) for e in g.edges] == [True, True, True, False]
+        assert g.weights == h.weights == (2, 17, 256, 257)
+        big = "123457/100003"  # a 6-digit denominator
+        g, h = parse_graph(f"2 1\n0 1 {big}\n"), parse_graph(f"2 1\n0 1 {big}\n")
+        assert g.weight(0, 1) == h.weight(0, 1) == Fraction(123457, 100003)
+        assert g.weight(0, 1) is not h.weight(0, 1)
+
     def test_unreduced_token_keeps_its_value(self):
         g = parse_graph("3 2\n0 1 2/4\n1 2 1/2\n")
         assert g.weight(0, 1) == HALF
@@ -303,6 +325,8 @@ class TestLazyAdjacency:
         min_edge_cover_exact(g)
         fractional_cover_lp(g)
         dual_packing_lp(g)
+        assert check_core_dual(g, (ONE, ZERO, ZERO)) == (True, None)
+        assert check_core_stars(g, (ONE, ONE, ZERO)) == (False, (0, frozenset({1})))
         assert not adjacency_built(g)
 
     def test_double_in_half_integral_cover_leaves_it_unbuilt(self, monkeypatch):
@@ -326,8 +350,8 @@ class TestLazyAdjacency:
 
     def test_matches_reference_from_edge_list(self):
         # Graphs built from their edges in a random order, endpoints in
-        # either order, so the sorted neighbor lists do not lean on the
-        # input order.
+        # either order, so the sorted neighbor lists and the weights aligned
+        # with the sorted edges do not lean on the input order.
         rng = random.Random(71)
         corpus = [random_graph(rng, max_vertices=12, max_extra_edges=8) for _ in range(150)]
         corpus += [random_bipartite_graph(rng, max_vertices=12) for _ in range(50)]
@@ -341,6 +365,11 @@ class TestLazyAdjacency:
             for v in g.vertices():
                 expected = tuple(sorted(u for e in g.edges if v in e for u in e if u != v))
                 assert g.neighbors(v) == expected, (g, v)
+            given = {edge_key(u, v): w for u, v, w in edges}
+            assert g.edges == tuple(sorted(given))
+            for k in (g, copy.copy(g), pickle.loads(pickle.dumps(g))):
+                assert (k.edges, k.weights) == (g.edges, tuple(given[e] for e in g.edges))
+                assert all(k.weights[i] == k.weight(*e) for i, e in enumerate(k.edges))
 
     def test_threads_racing_on_the_first_read_agree(self):
         # The build is check-then-act without a lock; it is safe because
